@@ -30,7 +30,7 @@ rm -f "$OUT" BENCH_stream_overlap.json BENCH_serve_soak.json \
     BENCH_throughput_prof.json BENCH_stream_overlap_prof.json \
     BENCH_serve_soak_prof.json \
     BENCH_parallel_engine_prof.thread.json BENCH_parallel_engine_prof.warp.json \
-    BENCH_throughput_timeline.json BENCH_stream_overlap_timeline.json \
+    BENCH_stream_overlap_timeline.json \
     BENCH_graph_replay_timeline.eager.json BENCH_graph_replay_timeline.replay.json
 
 STATUS=0
@@ -42,8 +42,10 @@ CUPP_SIM_THREADS=1 "$BUILD/bench/bench_simulator_throughput" \
 
 echo ""
 echo "== bench_simulator_throughput, CUPP_SIM_THREADS=4 (parallel engine) =="
+# No CUPP_TIMELINE here: this sweep's raw timeline runs to tens of MB and
+# nothing reads it. The small, deterministic timeline reports come from
+# bench_stream_overlap and bench_graph_replay below.
 CUPP_PROF=BENCH_throughput_prof.json \
-CUPP_TIMELINE=BENCH_throughput_timeline.json \
 CUPP_SIM_THREADS=4 "$BUILD/bench/bench_simulator_throughput" \
     --benchmark_filter='BM_(BoidsStep|SaxpyThroughput|LaunchOverhead)' \
     --benchmark_min_time=0.2 || STATUS=1

@@ -252,9 +252,7 @@ private:
         with_retry(retry_ ? *retry_ : default_retry_policy(), &sim,
                    launch_site.c_str(), [&] {
                        detail::check(
-                           sid == cusim::kDefaultStream
-                               ? cusim::rt::cusimLaunchNamed(handle_, name_.c_str())
-                               : cusim::rt::cusimLaunchAsync(handle_, name_.c_str(), sid),
+                           cusim::rt::cusimLaunchAsync(handle_, name_.c_str(), sid),
                            "launch");
                    });
         if (sid == cusim::kDefaultStream) stats_ = cusim::rt::cusimLastLaunchStats();

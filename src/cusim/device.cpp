@@ -8,7 +8,6 @@
 #include "cusim/block_pool.hpp"
 #include "cusim/engine.hpp"
 #include "cusim/multiprocessor.hpp"
-#include "cusim/report.hpp"
 
 namespace cusim {
 
@@ -32,93 +31,48 @@ LaunchStats Device::launch(const LaunchConfig& cfg, const KernelEntry& entry,
 
 LaunchStats Device::launch(const LaunchConfig& cfg, KernelSpec spec,
                            std::string_view name) {
-    prof::ApiScope prof_scope(prof::Api::Launch, trace_ordinal_, kDefaultStream, 0,
-                              name);
-    timeline::FailScope tl_fail(trace_ordinal_, kDefaultStream,
-                                timeline::Category::Kernel, name, 0,
-                                prof_scope.correlation(), trace_base_ + host_time_);
-    // Before validation and before any block runs: an injected launch
-    // failure (or a poisoned device) rejects the launch atomically.
-    fault_preflight(faults::Site::Launch, name);
-    cfg.validate();
-    // Occupancy limits are checked before running anything.
-    (void)blocks_per_mp(props_.cost, cfg);
-    // Default-stream semantics: a legacy launch orders behind every
-    // explicit stream's already-enqueued work.
+    launch_async(cfg, std::move(spec), name, kDefaultStream);
+    return last_launch_;
+}
+
+void Device::copy_to_constant(DeviceAddr addr, const void* src, std::uint64_t bytes) {
+    prof::ApiScope prof_scope(prof::Api::MemcpyH2D, trace_ordinal_, 0, bytes,
+                              "constant");
+    timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::MemcpyH2D,
+                                "memcpy H2C", bytes, prof_scope.correlation(),
+                                tl_abs(host_time_));
+    fault_preflight(faults::Site::MemcpyH2D, "constant");
     join_streams();
-
-    // Host interpreter wall time is the one profiler field that is real
-    // (and thus non-deterministic) rather than modelled; only measured
-    // while a profiling session is collecting.
-    const bool profiling = prof::collecting();
-    const double wall0 = profiling ? cupp::trace::wall_clock_us() : 0.0;
-    const LaunchStats stats = run_grid(cfg, spec, name);
-    if (profiling) {
-        prof::record_launch(name, cfg, stats, device_track(), trace_ordinal_,
-                            (cupp::trace::wall_clock_us() - wall0) * 1e-6,
-                            props_.cost);
-    }
-
-    // Asynchronous launch semantics: the device starts as soon as it is free
-    // and the host has issued the call; the host only pays the launch
-    // overhead (§2.2 "a kernel invocation does not block the host").
-    const double start = std::max(host_time_, device_free_at_);
-    device_free_at_ = start + stats.device_seconds;
-    const double host_issue_t0 = host_time_;
-    host_time_ += props_.cost.launch_overhead_s;
-
-    last_launch_ = stats;
-    ++launch_count_;
-    record_launch(name, stats, start, device_free_at_);
-
-    if (timeline::enabled()) {
-        const std::string label =
-            name.empty() ? std::string("kernel") : std::string(name);
-        // Host-bound start: the grid began the moment the host issued it,
-        // so the binding edge is the host lane's point at `start`; when the
-        // device was still busy, the device FIFO tail already ends there.
-        const std::uint64_t anchor =
-            start == host_issue_t0
-                ? timeline::anchor_host(trace_ordinal_, trace_base_ + start)
-                : 0;
-        timeline::device_op(trace_ordinal_, timeline::Category::Kernel, label, 0,
-                            prof_scope.correlation(), trace_base_ + start,
-                            trace_base_ + device_free_at_, anchor);
-        timeline::host_op(trace_ordinal_, timeline::Category::Host,
-                          "launch " + label, 0, prof_scope.correlation(),
-                          trace_base_ + host_issue_t0, trace_base_ + host_time_);
-    }
-
+    // Like a blocking copy: wait for the device, then pay the PCIe cost.
+    const double t0 = host_time_;
+    const double wait = std::max(0.0, device_free_at_ - host_time_);
+    host_time_ = std::max(host_time_, device_free_at_);
+    host_time_ += props_.cost.transfer_latency_s +
+                  static_cast<double>(bytes) / props_.cost.pcie_bandwidth_bytes_per_s;
+    constant_.write(addr, src, bytes);
+    bytes_to_device_ += bytes;
     if (cupp::trace::enabled()) {
-        const std::string label =
-            name.empty() ? std::string("kernel") : std::string(name);
-        // The device lane shows the grid actually executing — with the full
-        // LaunchStats attached, this is the §6.3.1 profile per launch.
-        cupp::trace::emit_complete(
-            device_track(), label, trace_time_us(start), stats.device_seconds * 1e6,
-            {{"blocks", stats.blocks},
-             {"threads", stats.threads},
-             {"threads_per_block", stats.threads_per_block},
-             {"warps", stats.warps},
-             {"compute_cycles", stats.compute_cycles},
-             {"stall_cycles", stats.stall_cycles},
-             {"bytes_read", stats.bytes_read},
-             {"bytes_written", stats.bytes_written},
-             {"divergent_events", stats.divergent_events},
-             {"branch_evaluations", stats.branch_evaluations},
-             {"syncthreads", stats.syncthreads_count},
-             {"resident_blocks_per_mp", stats.resident_blocks_per_mp},
-             {"bound_by", to_string(bound_by(stats, props_.cost))}});
-        // The host lane shows only the (tiny) synchronous issue cost — the
-        // gap between this span's end and the device span's end is the
-        // overlap the asynchronous model buys.
-        cupp::trace::emit_complete(host_track(), "launch " + label,
-                                   trace_time_us(host_issue_t0),
-                                   props_.cost.launch_overhead_s * 1e6);
-        static const cupp::trace::counter_handle launches("cusim.kernel_launches");
-        launches.add();
+        cupp::trace::emit_complete(host_track(), "memcpy H2C", trace_time_us(t0),
+                                   (host_time_ - t0) * 1e6,
+                                   {{"bytes", bytes},
+                                    {"kind", "H2C"},
+                                    {"device_wait_us", wait * 1e6}});
+        // Registers the same three counters a blocking copy does (D2H at
+        // zero), so the trace's counter list does not depend on which kind
+        // of transfer ran first.
+        static const cupp::trace::counter_handle h2d("cusim.bytes_h2d");
+        static const cupp::trace::counter_handle d2h("cusim.bytes_d2h");
+        static const cupp::trace::counter_handle n_xfers("cusim.transfers");
+        (void)d2h;
+        h2d.add(bytes);
+        n_xfers.add();
     }
-    return stats;
+    if (timeline::enabled()) {
+        timeline::host_op(trace_ordinal_, timeline::Category::MemcpyH2D, "memcpy H2C",
+                          bytes, prof_scope.correlation(), tl_abs(t0 + wait),
+                          tl_abs(host_time_),
+                          wait > 0.0 ? timeline::device_tail(trace_ordinal_) : 0);
+    }
 }
 
 LaunchStats Device::run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
@@ -136,9 +90,8 @@ LaunchStats Device::run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
     // Threaded into every ThreadCtx so device-side diagnostics (memcheck
     // violations, out-of-range accesses) can name the kernel and check
     // against this device's global-memory shadow.
-    const memcheck::ExecContext exec{
-        name.empty() ? std::string("kernel") : std::string(name),
-        &memory_.shadow(), trace_ordinal_};
+    const memcheck::ExecContext exec{std::string(name), &memory_.shadow(),
+                                     trace_ordinal_};
 
     // Blocks are independent (§2.2), so the grid is dealt to host workers —
     // DeviceProperties::sim_threads if set, else CUPP_SIM_THREADS /
@@ -280,10 +233,10 @@ void Device::reset_device() {
     }
 }
 
-void Device::record_launch(std::string_view name, const LaunchStats& stats, double start,
+void Device::record_launch(std::string name, const LaunchStats& stats, double start,
                            double end) {
     LaunchRecord rec;
-    rec.kernel_name = name.empty() ? "kernel" : std::string(name);
+    rec.kernel_name = std::move(name);
     rec.stats = stats;
     rec.start_seconds = trace_base_ + start;
     rec.end_seconds = trace_base_ + end;

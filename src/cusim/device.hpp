@@ -38,12 +38,14 @@ namespace detail {
 struct StreamTable;  // per-device stream/event state (stream_detail.hpp)
 struct StreamState;
 struct StreamOp;
+struct OpRecord;
 struct CaptureState;  // live graph-capture recording state (stream_detail.hpp)
 }  // namespace detail
 
 /// Identifies one of a Device's asynchronous work queues. Id 0 is the
-/// default stream — the legacy synchronous path every pre-stream API call
-/// uses. Explicit streams get ids 1, 2, ... from Device::stream_create().
+/// default stream, which every pre-stream API call uses: its work joins the
+/// explicit streams and runs at once. Explicit streams get ids 1, 2, ...
+/// from Device::stream_create().
 using StreamId = std::uint32_t;
 inline constexpr StreamId kDefaultStream = 0;
 
@@ -132,81 +134,19 @@ public:
         return DevicePtr<T>(memory_.raw(addr), addr, count, memory_.shadow().alloc_id(addr));
     }
 
-    // --- host <-> device transfers (blocking, clock-advancing) ------------
+    // --- host <-> device transfers (default stream, blocking) --------------
+    // Each is the matching memcpy_*_async on the default stream: it joins
+    // the explicit streams and runs before it returns. A host<->device copy
+    // waits for the device and then advances the host clock by the PCIe
+    // cost; a device-side copy advances only the device clock.
     void copy_to_device(DeviceAddr dst, const void* src, std::uint64_t bytes) {
-        prof::ApiScope prof_scope(prof::Api::MemcpyH2D, trace_ordinal_, 0, bytes);
-        timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::MemcpyH2D,
-                                    "memcpy H2D", bytes, prof_scope.correlation(),
-                                    tl_abs(host_time_));
-        fault_preflight(faults::Site::MemcpyH2D);
-        join_streams();
-        const bool tracing = cupp::trace::enabled();
-        const double t0 = host_time_;
-        const double wait = std::max(0.0, device_free_at_ - host_time_);
-        begin_host_access(bytes);
-        memory_.write(dst, src, bytes);
-        bytes_to_device_ += bytes;
-        if (tracing) trace_transfer("memcpy H2D", t0, bytes, wait, "H2D");
-        if (prof::collecting()) {
-            prof::record_transfer(CopyKind::HostToDevice, bytes,
-                                  host_time_ - t0 - wait, trace_ordinal_);
-        }
-        tl_host_transfer(timeline::Category::MemcpyH2D, "memcpy H2D", bytes,
-                         prof_scope.correlation(), t0, wait);
+        memcpy_to_device_async(dst, src, bytes, kDefaultStream);
     }
     void copy_to_host(void* dst, DeviceAddr src, std::uint64_t bytes) {
-        prof::ApiScope prof_scope(prof::Api::MemcpyD2H, trace_ordinal_, 0, bytes);
-        timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::MemcpyD2H,
-                                    "memcpy D2H", bytes, prof_scope.correlation(),
-                                    tl_abs(host_time_));
-        fault_preflight(faults::Site::MemcpyD2H);
-        join_streams();
-        const bool tracing = cupp::trace::enabled();
-        const double t0 = host_time_;
-        const double wait = std::max(0.0, device_free_at_ - host_time_);
-        begin_host_access(bytes);
-        memory_.read(src, dst, bytes);
-        bytes_to_host_ += bytes;
-        if (tracing) trace_transfer("memcpy D2H", t0, bytes, wait, "D2H");
-        if (prof::collecting()) {
-            prof::record_transfer(CopyKind::DeviceToHost, bytes,
-                                  host_time_ - t0 - wait, trace_ordinal_);
-        }
-        tl_host_transfer(timeline::Category::MemcpyD2H, "memcpy D2H", bytes,
-                         prof_scope.correlation(), t0, wait);
+        memcpy_to_host_async(dst, src, bytes, kDefaultStream);
     }
     void copy_device_to_device(DeviceAddr dst, DeviceAddr src, std::uint64_t bytes) {
-        prof::ApiScope prof_scope(prof::Api::MemcpyD2D, trace_ordinal_, 0, bytes);
-        timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::MemcpyD2D,
-                                    "memcpy D2D", bytes, prof_scope.correlation(),
-                                    tl_abs(host_time_));
-        fault_preflight(faults::Site::MemcpyD2D);
-        join_streams();
-        // Device-side copy: consumes device time, not host time.
-        const double secs = static_cast<double>(bytes) / props_.cost.mem_bandwidth_bytes_per_s;
-        const double start = std::max(device_free_at_, host_time_);
-        device_free_at_ = start + secs;
-        memory_.copy(dst, src, bytes);
-        if (cupp::trace::enabled()) {
-            cupp::trace::emit_complete(
-                device_track(), "memcpy D2D", trace_time_us(start), secs * 1e6,
-                {{"bytes", bytes}, {"kind", "D2D"}});
-        }
-        if (prof::collecting()) {
-            prof::record_transfer(CopyKind::DeviceToDevice, bytes, secs,
-                                  trace_ordinal_);
-        }
-        if (timeline::enabled()) {
-            // Host-bound start: the binding edge is the host lane's point at
-            // `start` (the device FIFO tail already ends there otherwise).
-            const std::uint64_t anchor =
-                start == host_time_
-                    ? timeline::anchor_host(trace_ordinal_, tl_abs(start))
-                    : 0;
-            timeline::device_op(trace_ordinal_, timeline::Category::MemcpyD2D,
-                                "memcpy D2D", bytes, prof_scope.correlation(),
-                                tl_abs(start), tl_abs(device_free_at_), anchor);
-        }
+        memcpy_device_to_device_async(dst, src, bytes, kDefaultStream);
     }
 
     template <typename T>
@@ -235,30 +175,14 @@ public:
     }
 
     /// Host upload into constant memory (blocks while a kernel is active,
-    /// like any host access to device state).
-    void copy_to_constant(DeviceAddr addr, const void* src, std::uint64_t bytes) {
-        prof::ApiScope prof_scope(prof::Api::MemcpyH2D, trace_ordinal_, 0, bytes,
-                                  "constant");
-        timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::MemcpyH2D,
-                                    "memcpy H2C", bytes, prof_scope.correlation(),
-                                    tl_abs(host_time_));
-        fault_preflight(faults::Site::MemcpyH2D, "constant");
-        join_streams();
-        const bool tracing = cupp::trace::enabled();
-        const double t0 = host_time_;
-        const double wait = std::max(0.0, device_free_at_ - host_time_);
-        begin_host_access(bytes);
-        constant_.write(addr, src, bytes);
-        bytes_to_device_ += bytes;
-        if (tracing) trace_transfer("memcpy H2C", t0, bytes, wait, "H2C");
-        tl_host_transfer(timeline::Category::MemcpyH2D, "memcpy H2C", bytes,
-                         prof_scope.correlation(), t0, wait);
-    }
+    /// like any host access to device state). (device.cpp)
+    void copy_to_constant(DeviceAddr addr, const void* src, std::uint64_t bytes);
 
     // --- execution ---------------------------------------------------------
     /// Executes a grid and advances the device timeline by the modelled
     /// time. Asynchronous w.r.t. the host clock (§2.2). `name` labels the
-    /// launch in the trace and the launch history.
+    /// launch in the trace and the launch history. This is launch_async on
+    /// the default stream, plus the grid's stats.
     LaunchStats launch(const LaunchConfig& cfg, const KernelEntry& entry,
                        std::string_view name = {});
     /// Dual-form launch: runs the warp form under the warp engine (see
@@ -282,37 +206,7 @@ public:
 
     /// cudaThreadSynchronize: host blocks until the device is idle —
     /// including every explicit stream (their pending work executes first).
-    void synchronize() {
-        prof::ApiScope prof_scope(prof::Api::Sync, trace_ordinal_);
-        timeline::FailScope tl_fail(trace_ordinal_, 0, timeline::Category::Sync,
-                                    "synchronize", 0, prof_scope.correlation(),
-                                    tl_abs(host_time_));
-        fault_preflight(faults::Site::Sync);
-        join_streams();
-        host_time_ = std::max(host_time_, device_free_at_);
-        prune_completed_async();
-        if (timeline::enabled()) {
-            timeline::host_sync(trace_ordinal_, "synchronize",
-                                prof_scope.correlation(), tl_abs(host_time_),
-                                timeline::device_tail(trace_ordinal_));
-        }
-    }
-
-    // --- events (cudaEventRecord-style timing) -------------------------------
-    /// A point on the device timeline.
-    struct Event {
-        double device_time = 0.0;
-    };
-
-    /// Records an event after all currently queued device work.
-    [[nodiscard]] Event record_event() const {
-        return Event{std::max(device_free_at_, host_time_)};
-    }
-
-    /// Milliseconds of device time between two recorded events.
-    [[nodiscard]] static double elapsed_ms(const Event& start, const Event& stop) {
-        return (stop.device_time - start.device_time) * 1e3;
-    }
+    void synchronize() { stream_synchronize(kDefaultStream); }
 
     /// Resets the timeline (a new measurement run). Pending stream work is
     /// executed first — a measurement boundary mid-flight would be
@@ -330,11 +224,11 @@ public:
     // An explicit stream is a FIFO of deferred operations. Enqueueing is a
     // host-side action (fault preflights fire here, so injected failures
     // are atomic and retryable); the queued ops execute at the next sync
-    // point — any *_synchronize, or any legacy default-stream operation,
-    // which joins with all streams first. Execution drains streams in
-    // ascending stream-id, each in enqueue order, waits yielding until
-    // their recorded event has executed; that order depends only on the
-    // enqueue sequence, so every observable (stats, memcheck, faults,
+    // point — any *_synchronize, or any default-stream operation, which
+    // joins with all streams first and then runs at once. Execution drains
+    // streams in ascending stream-id, each in enqueue order, waits yielding
+    // until their recorded event has executed; that order depends only on
+    // the enqueue sequence, so every observable (stats, memcheck, faults,
     // trace) is bit-identical for any engine thread count.
 
     /// Creates a new asynchronous stream (never id 0).
@@ -344,7 +238,8 @@ public:
     /// True when the stream has no pending ops and its modelled timeline
     /// has been reached by the host clock. Never executes work.
     [[nodiscard]] bool stream_query(StreamId stream) const;
-    /// Executes pending work; host blocks until the stream is idle.
+    /// Executes pending work; host blocks until the stream is idle (the
+    /// default stream: until the whole device is, see synchronize()).
     void stream_synchronize(StreamId stream);
     /// All work enqueued on `stream` after this call orders behind
     /// `event`'s most recent record. Never recorded -> no-op (CUDA).
@@ -365,20 +260,25 @@ public:
 
     /// Enqueues a kernel launch. The host pays only the launch overhead;
     /// the grid executes at the next sync point on the stream's modelled
-    /// timeline. Stream 0 falls back to the legacy launch().
+    /// timeline. On the default stream this is launch(): the grid runs
+    /// before the call returns.
     void launch_async(const LaunchConfig& cfg, const KernelEntry& entry,
                       std::string_view name, StreamId stream);
     /// Dual-form async launch (see the launch() overload above).
     void launch_async(const LaunchConfig& cfg, KernelSpec spec,
                       std::string_view name, StreamId stream);
     /// Async H2D: the source is snapshotted at enqueue (pageable-memory
-    /// semantics — later host writes to `src` don't affect the copy).
+    /// semantics — later host writes to `src` don't affect the copy). On
+    /// the default stream this is copy_to_device(), which reads `src` in
+    /// place.
     void memcpy_to_device_async(DeviceAddr dst, const void* src, std::uint64_t bytes,
                                 StreamId stream);
     /// Async D2H: `dst` is written when the op executes; reading it before
-    /// the covering synchronize is a race (see note_host_read()).
+    /// the covering synchronize is a race (see note_host_read()). On the
+    /// default stream this is copy_to_host().
     void memcpy_to_host_async(void* dst, DeviceAddr src, std::uint64_t bytes,
                               StreamId stream);
+    /// On the default stream this is copy_device_to_device().
     void memcpy_device_to_device_async(DeviceAddr dst, DeviceAddr src,
                                        std::uint64_t bytes, StreamId stream);
 
@@ -386,7 +286,7 @@ public:
     // Capture records enqueues on captured streams into an immutable DAG
     // instead of queueing them: no seq numbers are consumed, no clocks
     // advance, no observables fire. Any operation that would execute
-    // pending work (every sync, every legacy default-stream op) during a
+    // pending work (every sync, every default-stream op) during a
     // capture invalidates it and throws StreamCaptureInvalid; the broken
     // capture stays pinned until stream_end_capture() clears it.
 
@@ -488,57 +388,20 @@ private:
     /// monotonic axis (same base as the trace, but in seconds).
     [[nodiscard]] double tl_abs(double t) const { return trace_base_ + t; }
 
-    /// Timeline node for a blocking host-side transfer: the transfer span
-    /// [t0+wait, now] on the host lane, bound to the device FIFO tail when
-    /// the host had to wait for an active kernel first (the wait itself
-    /// shows as a host-lane bubble).
-    void tl_host_transfer(timeline::Category cat, std::string_view name,
-                          std::uint64_t bytes, std::uint64_t corr, double t0,
-                          double wait) {
-        if (!timeline::enabled()) return;
-        timeline::host_op(trace_ordinal_, cat, name, bytes, corr,
-                          tl_abs(t0 + wait), tl_abs(host_time_),
-                          wait > 0.0 ? timeline::device_tail(trace_ordinal_) : 0);
-    }
-
-    void trace_transfer(const char* name, double t0, std::uint64_t bytes, double wait_s,
-                        const char* kind) {
-        cupp::trace::emit_complete(host_track(), name, trace_time_us(t0),
-                                   (host_time_ - t0) * 1e6,
-                                   {{"bytes", bytes},
-                                    {"kind", kind},
-                                    {"device_wait_us", wait_s * 1e6}});
-        static const cupp::trace::counter_handle h2d("cusim.bytes_h2d");
-        static const cupp::trace::counter_handle d2h("cusim.bytes_d2h");
-        static const cupp::trace::counter_handle n_xfers("cusim.transfers");
-        (kind[0] == 'D' ? d2h : h2d).add(bytes);
-        n_xfers.add();
-    }
-
-    /// Host access to device memory blocks until no kernel is active (§2.2)
-    /// and then pays the PCIe transfer cost. Inlines the synchronize()
-    /// wait rather than calling it so one transfer hits exactly one fault
-    /// injection site (the memcpy one), not two.
-    void begin_host_access(std::uint64_t bytes) {
-        host_time_ = std::max(host_time_, device_free_at_);
-        host_time_ += props_.cost.transfer_latency_s +
-                      static_cast<double>(bytes) / props_.cost.pcie_bandwidth_bytes_per_s;
-    }
-
     /// Appends to the launch-history ring buffer (device.cpp).
-    void record_launch(std::string_view name, const LaunchStats& stats, double start,
+    void record_launch(std::string name, const LaunchStats& stats, double start,
                        double end);
 
-    /// The block-execution core shared by launch() and the stream drain:
-    /// validation must already have happened; runs the grid on the
-    /// BlockPool (or serially), reduces everything observable in launch
-    /// order, and returns the stats with device_seconds filled in. Does
-    /// not touch the timeline, history, or trace. (device.cpp)
+    /// The block-execution core of execute_op: validation must already
+    /// have happened; runs the grid on the BlockPool (or serially),
+    /// reduces everything observable in launch order, and returns the
+    /// stats with device_seconds filled in. Does not touch the timeline,
+    /// history, or trace. (device.cpp)
     LaunchStats run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
                          std::string_view name);
 
-    /// Legacy (default-stream) semantics: every pre-stream operation joins
-    /// with all explicit streams — pending ops execute and the per-stream
+    /// Default-stream semantics: every default-stream operation joins with
+    /// all explicit streams — pending ops execute and the per-stream
     /// clocks fold into the device-wide busy horizon. A no-op until the
     /// first stream_create(), so pre-stream behaviour is untouched.
     void join_streams() {
@@ -551,10 +414,24 @@ private:
     void prune_completed_async();    // stream.cpp: drops completed D2H ranges
     [[nodiscard]] detail::StreamTable& stream_table();  // lazily created
 
+    /// Where an issued op goes (stream.cpp): on the default stream it runs
+    /// now, after join_streams(); on an explicit stream it is captured or
+    /// queued. Throws "<api>: unknown stream" for a stream that does not
+    /// exist. True when the op was queued.
+    bool submit(StreamId stream, detail::StreamOp& op, std::uint64_t corr,
+                const char* api);
+    /// Appends an issued op to its stream's queue, noting a D2H
+    /// destination for the async host-race check (stream.cpp).
+    void queue_op(StreamId stream, detail::StreamState& st, detail::StreamOp&& op);
     /// Executes every pending stream op in the canonical order (stream.cpp).
     void drain_streams();
     [[nodiscard]] bool op_ready(const detail::StreamOp& op) const;
-    void execute_op(StreamId sid, detail::StreamState& st, detail::StreamOp& op);
+    /// Runs one op on stream `sid`, whose busy horizon is `free_at`
+    /// (device_free_at_ for the default stream). The only code that runs
+    /// a grid, moves bytes or advances a clock for an op. (stream.cpp)
+    void execute_op(StreamId sid, double& free_at, detail::StreamOp& op);
+    /// Reports one executed op to prof, timeline and trace (stream.cpp).
+    void record_op(const detail::OpRecord& rec);
 
     /// Records `op` into the live capture when `stream` is (or joins) the
     /// captured set; true when the op was consumed. Throws when the

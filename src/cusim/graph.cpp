@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "cusim/memcheck.hpp"
 #include "cusim/multiprocessor.hpp"
 #include "cusim/prof.hpp"
 #include "cusim/stream_detail.hpp"
@@ -250,20 +249,10 @@ void Device::graph_launch(const GraphExec& exec) {
                     op.wait_has_target = false;
                 }
                 break;
-            case StreamOp::Kind::CopyD2H:
-                if (memcheck::enabled()) {
-                    detail::PendingHostWrite w;
-                    w.begin = static_cast<const std::byte*>(op.host_dst);
-                    w.end = w.begin + op.bytes;
-                    w.stream = n.stream;
-                    w.seq = op.seq;
-                    t.host_writes.push_back(w);
-                }
-                break;
             default:
                 break;
         }
-        t.streams.find(n.stream)->second.pending.push_back(std::move(op));
+        queue_op(n.stream, t.streams.find(n.stream)->second, std::move(op));
     }
 
     // The amortization: one launch-overhead charge for the whole DAG.

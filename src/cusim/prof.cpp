@@ -258,7 +258,7 @@ private:
             }
         }
         KernelActivity k;
-        k.name = std::string(name.empty() ? std::string_view("kernel") : name);
+        k.name = std::string(name);
         k.grid = cfg.grid;
         k.block = cfg.block;
         k.shared_bytes = cfg.shared_bytes;

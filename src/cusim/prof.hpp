@@ -264,9 +264,11 @@ struct TransferTotals {
     double seconds = 0.0;  ///< modelled transfer time
 };
 
-/// Records one executed grid (device.cpp / stream.cpp, after run_grid's
+/// Records one executed grid (Device::record_op, after run_grid's
 /// launch-order reduction — never from pool workers, so insertion order is
-/// deterministic). `host_seconds` is interpreter wall time for this launch.
+/// deterministic). `name` is the activity key as given: the device names an
+/// unnamed launch "kernel" when it builds the op. `host_seconds` is
+/// interpreter wall time for this launch.
 void record_launch(std::string_view name, const LaunchConfig& cfg,
                    const LaunchStats& stats, std::string_view lane, int device,
                    double host_seconds, const CostModel& cm);

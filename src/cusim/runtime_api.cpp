@@ -162,19 +162,7 @@ ErrorCode cusimSetupArgument(const void* arg, std::size_t size, std::size_t offs
 ErrorCode cusimLaunch(KernelHandle kernel) { return cusimLaunchNamed(kernel, nullptr); }
 
 ErrorCode cusimLaunchNamed(KernelHandle kernel, const char* name) {
-    if (!kernel) return set_error(ErrorCode::InvalidValue);
-    if (!t_launch.configured) return set_error(ErrorCode::InvalidConfiguration);
-    const auto* trampoline = static_cast<const Trampoline*>(kernel);
-    return guarded([&] {
-        Device& dev = Registry::instance().current_device();
-        // The stack is copied so the staging area can be reused immediately.
-        auto stack = std::make_shared<std::array<std::byte, kKernelStackSize>>(t_launch.stack);
-        KernelEntry entry = [trampoline, &dev, stack](ThreadCtx& ctx) {
-            return (*trampoline)(ctx, dev, stack->data());
-        };
-        dev.launch(t_launch.config, entry, name ? std::string_view(name) : std::string_view{});
-        t_launch.configured = false;
-    });
+    return cusimLaunchAsync(kernel, name, kDefaultStream);
 }
 
 ErrorCode cusimStreamCreate(StreamId* stream) {
@@ -269,9 +257,9 @@ ErrorCode cusimLaunchAsync(KernelHandle kernel, const char* name, StreamId strea
     const auto* trampoline = static_cast<const Trampoline*>(kernel);
     return guarded([&] {
         Device& dev = Registry::instance().current_device();
-        // Same staging-copy trick as cusimLaunchNamed: the enqueued closure
-        // owns its stack snapshot, so the thread-local staging area is free
-        // for the next configure/setup sequence immediately.
+        // The closure owns a copy of the stack, so the thread-local staging
+        // area is free for the next configure/setup sequence immediately
+        // (an enqueued launch runs after this call returns).
         auto stack = std::make_shared<std::array<std::byte, kKernelStackSize>>(t_launch.stack);
         KernelEntry entry = [trampoline, &dev, stack](ThreadCtx& ctx) {
             return (*trampoline)(ctx, dev, stack->data());

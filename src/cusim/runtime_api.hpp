@@ -63,7 +63,8 @@ ErrorCode cusimSetupArgument(const void* arg, std::size_t size, std::size_t offs
 ErrorCode cusimLaunch(KernelHandle kernel);
 /// cusimLaunch with a kernel name for the trace and launch history (the
 /// real runtime derives it from the symbol; the simulator has no nvcc, so
-/// callers pass it). A null/empty name behaves like cusimLaunch.
+/// callers pass it). A null/empty name behaves like cusimLaunch. This is
+/// cusimLaunchAsync on the default stream.
 ErrorCode cusimLaunchNamed(KernelHandle kernel, const char* name);
 
 /// Stats of the most recent successful launch on the calling thread's device.
@@ -97,7 +98,8 @@ ErrorCode cusimMemcpyToHostAsync(void* dst, DeviceAddr src, std::size_t count,
                                  StreamId stream);
 
 /// The stream-bound cusimLaunchNamed: consumes the staged configure/setup
-/// state and enqueues the launch on `stream` (stream 0 launches legacy).
+/// state and enqueues the launch on `stream` (on stream 0 the grid runs
+/// before the call returns).
 ErrorCode cusimLaunchAsync(KernelHandle kernel, const char* name, StreamId stream);
 
 // --- graphs (cudaGraph_t / cudaGraphExec_t mirrors, cusim/graph.hpp) ---

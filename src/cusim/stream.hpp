@@ -5,8 +5,8 @@
 // async transfers, event records, cross-stream event waits). Enqueueing is
 // a host-side action that never runs device work; the queued operations
 // execute at the next synchronization point — any stream/event synchronize,
-// or any legacy (default-stream) operation, which joins with every stream
-// first. Execution order at that point is fixed by the determinism
+// or any default-stream operation, which joins with every stream first.
+// Execution order at that point is fixed by the determinism
 // contract: streams drain in ascending stream-id, each stream in enqueue
 // order, an op blocked on an event wait yielding to the next stream until
 // the recorded event it waits on has executed. Because that order is a
@@ -14,9 +14,10 @@
 // fault counters and the trace are bit-identical for any engine thread
 // count (see DESIGN.md "Streams & events").
 //
-// The default stream (cusim::kDefaultStream, id 0) is the legacy
-// synchronous path: work "enqueued" on it runs immediately with the
-// pre-stream semantics, after joining with every explicit stream.
+// The default stream (cusim::kDefaultStream, id 0) is stream work plus an
+// implicit device-wide join, as on CUDA: work "enqueued" on it joins with
+// every explicit stream and then runs at once, through the same executor
+// as stream work (the pre-stream semantics).
 #pragma once
 
 #include <utility>

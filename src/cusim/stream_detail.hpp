@@ -1,9 +1,10 @@
-// Shared internal representation of deferred stream work.
+// Shared internal representation of device work.
 //
-// Historically these structs lived inside stream.cpp; graph capture/replay
-// (graph.cpp) records and re-enqueues the same ops, so the IR moved here.
-// Everything in cusim::detail is an implementation detail: device.hpp only
-// forward-declares these types and no public header includes this one.
+// Every launch and copy becomes a StreamOp: the default stream runs it at
+// once, an explicit stream queues it, and graph capture/replay (graph.cpp)
+// records and re-enqueues it. Everything in cusim::detail is an
+// implementation detail: device.hpp only forward-declares these types and
+// no public header includes this one.
 #pragma once
 
 #include <cstddef>
@@ -20,9 +21,9 @@
 
 namespace cusim::detail {
 
-/// One deferred operation. `seq` is the global enqueue index (determinism
-/// + wait targeting); `issue_host_time` pins when the host issued it so a
-/// drained op can never start before it was enqueued.
+/// One device operation. `seq` is the global issue index (determinism +
+/// wait targeting); `issue_host_time` pins when the host issued it so the
+/// op can never start before that.
 struct StreamOp {
     enum class Kind { Launch, CopyH2D, CopyD2H, CopyD2D, Record, Wait };
 
@@ -32,24 +33,39 @@ struct StreamOp {
 
     // Launch
     LaunchConfig cfg{};
-    KernelSpec entry;  ///< dual-form kernel; run_grid picks the engine at drain
-    std::string name;
+    KernelSpec entry;  ///< dual-form kernel; run_grid picks the engine when it runs
+    std::string name;  ///< never empty: an unnamed launch is "kernel"
 
     // Copies
     DeviceAddr dst = 0;
     DeviceAddr src = 0;
     std::uint64_t bytes = 0;
-    std::vector<std::byte> staged;  ///< H2D source snapshot (pageable semantics)
-    void* host_dst = nullptr;       ///< D2H destination
+    const void* host_src = nullptr;  ///< H2D source while not staged (read in place)
+    std::vector<std::byte> staged;   ///< queued H2D source snapshot (pageable semantics)
+    void* host_dst = nullptr;        ///< D2H destination
 
     // Events
     EventId event = 0;
     std::uint64_t wait_target_seq = 0;  ///< record op a Wait orders behind
     bool wait_has_target = false;       ///< false: event unrecorded -> no-op
 
-    // Timeline (captured at enqueue, consumed at drain)
-    std::uint64_t corr = 0;       ///< correlation id of the enqueueing API call
-    std::uint64_t tl_anchor = 0;  ///< host-lane node ending at the issue point
+    // Recorders (captured at issue, consumed when the op runs)
+    std::uint64_t corr = 0;       ///< correlation id of the issuing API call
+    std::uint64_t tl_anchor = 0;  ///< queued ops: host-lane node ending at the issue point
+};
+
+/// One executed op as the recorders see it. Device::execute_op fills it in
+/// and hands it to Device::record_op, the one place where an executed op
+/// reaches prof, timeline and trace.
+struct OpRecord {
+    const StreamOp& op;
+    StreamId stream = kDefaultStream;
+    double start = 0.0;  ///< modelled start, after any wait for the device
+    double end = 0.0;    ///< modelled end on the op's lane
+    double secs = 0.0;   ///< modelled busy time of a grid or copy
+    const LaunchStats* stats = nullptr;  ///< grids only
+    double wall_s = 0.0;   ///< host interpreter wall time of a grid (profiling only)
+    bool newest = false;   ///< records: this record now defines the event's time
 };
 
 struct StreamState {
@@ -58,8 +74,8 @@ struct StreamState {
 };
 
 struct EventState {
-    double time = 0.0;                  ///< timeline point of the last drained record
-    std::uint64_t last_record_seq = 0;  ///< newest record *enqueued* (0 = never)
+    double time = 0.0;                  ///< timeline point of the last executed record
+    std::uint64_t last_record_seq = 0;  ///< newest record *issued* (0 = never)
     std::uint64_t completed_seq = 0;    ///< newest record *executed*
 };
 

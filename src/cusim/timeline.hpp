@@ -3,8 +3,8 @@
 //
 // cusim::prof answers "which kernels cost the most in aggregate"; this
 // module answers "why is the modelled makespan what it is". Every scheduled
-// operation — kernel launch (legacy and stream-bound), H2D/D2H/D2D
-// transfer (sync and async), event record, cross-stream wait_event, and
+// operation — kernel launch (default-stream and stream-bound), H2D/D2H/D2D
+// transfer (blocking and async), event record, cross-stream wait_event, and
 // host synchronization — is recorded as a node of a DAG with its modelled
 // start/end times, lane (devN.host / devN.device / devN.streamK), the
 // correlation id its runtime API call carried (shared with the
@@ -101,7 +101,7 @@ inline constexpr std::size_t kCategoryCount = 8;
 /// Which of a device's lanes a node executed on.
 enum class Lane : std::uint8_t {
     Host,    ///< "devN.host" — the issuing host thread
-    Device,  ///< "devN.device" — the legacy default-stream device timeline
+    Device,  ///< "devN.device" — the default stream's device timeline
     Stream,  ///< "devN.streamK" — an explicit stream's timeline
 };
 
@@ -137,7 +137,7 @@ struct Node {
 /// host lane is still empty.
 std::uint64_t anchor_host(int device, double t);
 
-/// Host-lane op with real duration (legacy transfer, launch issue
+/// Host-lane op with real duration (blocking transfer, launch issue
 /// overhead). When `start` lies beyond the host cursor, the binding
 /// constraint is `extra_dep` (a device-side node the host blocked on) if
 /// it ends exactly at `start`; otherwise the gap is filled as untracked
@@ -153,7 +153,7 @@ std::uint64_t host_sync(int device, std::string_view name,
                         std::uint64_t correlation, double t,
                         std::uint64_t waited);
 
-/// Legacy device-lane node (default-stream kernel, D2D copy, or the
+/// Device-lane node (default-stream kernel, D2D copy, or the
 /// zero-duration default-stream record/wait marks). FIFO-depends on the
 /// current device-lane tail plus `extra_dep`. Returns the node id.
 std::uint64_t device_op(int device, Category cat, std::string_view name,
@@ -174,8 +174,8 @@ void failed_op(int device, std::uint32_t stream, Category cat,
                std::string_view name, std::uint64_t bytes,
                std::uint64_t correlation, double t);
 
-/// The current device-lane tail node (0 when none) — what a legacy op or
-/// host sync is ordered behind.
+/// The current device-lane tail node (0 when none) — what a default-stream
+/// op or host sync is ordered behind.
 [[nodiscard]] std::uint64_t device_tail(int device);
 /// The stream's tail node (0 when none).
 [[nodiscard]] std::uint64_t stream_tail(int device, std::uint32_t stream);

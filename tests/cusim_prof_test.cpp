@@ -581,6 +581,30 @@ TEST_F(ProfTest, TotalsAreIdenticalAcrossStreamCounts) {
     EXPECT_TRUE(two.find("lane_n=8") != std::string::npos) << two;
 }
 
+TEST_F(ProfTest, UnnamedKernelsShareOneActivityRow) {
+    // One config launched six times without a name, alternating between the
+    // default stream and an explicit one: every launch has the same key
+    // ("kernel" plus the geometry), so all six aggregate into one row that
+    // splits over the two lanes.
+    prof::enable();
+    Device dev(cusim::tiny_properties());
+    auto data = upload_iota(dev, 64);
+    const cusim::StreamId s = dev.stream_create();
+    const auto entry = [&](ThreadCtx& ctx) { return mixed_kernel(ctx, data); };
+    for (int i = 0; i < 3; ++i) {
+        dev.launch(mixed_cfg(2, 32), entry);
+        dev.launch_async(mixed_cfg(2, 32), entry, {}, s);
+    }
+    dev.synchronize();
+
+    const auto activities = prof::kernel_activities();
+    ASSERT_EQ(activities.size(), 1u);
+    EXPECT_EQ(activities[0].name, "kernel");
+    EXPECT_EQ(activities[0].launches, 6u);
+    ASSERT_EQ(activities[0].lanes.size(), 2u);
+    for (const auto& lane : activities[0].lanes) EXPECT_EQ(lane.launches, 3u);
+}
+
 // --- transfers --------------------------------------------------------------
 
 TEST_F(ProfTest, TransferTotalsSplitByDirection) {

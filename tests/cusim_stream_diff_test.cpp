@@ -1,5 +1,7 @@
 // Differential stream determinism harness: seeded random DAGs of kernel
-// launches, async copies and event waits across 1-4 streams, each DAG run
+// launches, async copies and event waits across 1-4 explicit streams and
+// the default stream (the captured-replay twin uses explicit streams only:
+// a default-stream op would invalidate its capture), each DAG run
 // with the block engine pinned to 1, 2 and 8 worker threads. Every
 // observable — final device memory, LaunchStats, memcheck reports, fault
 // counters, trace event sequences, the normalized timeline report — must
@@ -189,7 +191,10 @@ RunResult run_dag(std::uint64_t seed, unsigned threads, bool with_trace,
 
         const unsigned n_ops = 12 + rng.below(20);
         for (unsigned i = 0; i < n_ops; ++i) {
-            const StreamId s = streams[rng.below(n_streams)];
+            // The default stream is one more choice: its ops join the
+            // explicit streams and run at once, interleaved with queued work.
+            const unsigned pick = rng.below(n_streams + 1);
+            const StreamId s = pick == n_streams ? kDefaultStream : streams[pick];
             const auto buf = rng.below(n_buffers);
             try {
                 switch (rng.below(8)) {
@@ -212,7 +217,8 @@ RunResult run_dag(std::uint64_t seed, unsigned threads, bool with_trace,
                     case 3: {  // async H2D of a fresh pattern
                         std::vector<std::uint32_t> src(kElems);
                         for (auto& v : src) v = static_cast<std::uint32_t>(rng.next());
-                        // Staged at enqueue: the source dies right here.
+                        // Staged at enqueue (or copied at once on the default
+                        // stream): the source dies right here.
                         dev.memcpy_to_device_async(buffers[buf].addr(), src.data(),
                                                    kElems * sizeof(std::uint32_t), s);
                         break;

@@ -558,4 +558,76 @@ TEST_F(TimelineTest, SyncNodesEdgeBackToTheWorkTheyWaitedOn) {
     expect_tiled(timeline::analyze(), ns);
 }
 
+/// One line per recorded node: id, category, lane (with the stream id on a
+/// stream lane), name, bytes and dependency ids. The device ordinal is left
+/// out, so the text does not depend on how many devices the process made.
+std::string describe_nodes(const std::vector<timeline::Node>& ns) {
+    std::string out;
+    for (const timeline::Node& n : ns) {
+        out += std::to_string(n.id) + " " + timeline::category_name(n.cat) + " ";
+        out += n.lane == timeline::Lane::Host     ? std::string("host")
+               : n.lane == timeline::Lane::Device ? std::string("device")
+                                                  : "stream" + std::to_string(n.stream);
+        out += " '" + n.name + "' bytes=" + std::to_string(n.bytes) + " deps=";
+        for (const std::uint64_t dep : n.deps) out += std::to_string(dep) + ",";
+        out += "\n";
+    }
+    return out;
+}
+
+TEST_F(TimelineTest, DefaultStreamCopyRecordAndWaitPinNodesAndEdges) {
+    Device dev(tiny_properties());
+    const std::size_t n = small_cfg().total_threads();
+    const std::uint64_t bytes = n * sizeof(int);
+    auto a = dev.malloc_n<int>(n);
+    auto b = dev.malloc_n<int>(n);
+    std::vector<int> host(n, 9);
+    dev.upload(a, std::span<const int>(host));
+    const StreamId s = dev.stream_create();
+    const EventId on_default = dev.event_create();
+    const EventId on_stream = dev.event_create();
+
+    // Idle device: the D2D starts when the host issues it (host anchor), and
+    // the record behind it is bound by the device FIFO instead.
+    dev.copy_device_to_device(b.addr(), a.addr(), bytes);
+    dev.event_record(on_default, kDefaultStream);
+    // A busy stream, then a default-stream wait on its record: the join
+    // folds the stream into the device lane and the wait edges to the record.
+    dev.launch_async(small_cfg(),
+                     [&](ThreadCtx& ctx) { return burn_kernel(ctx, b, 1); }, "burn", s);
+    dev.event_record(on_stream, s);
+    dev.stream_wait_event(kDefaultStream, on_stream);
+    dev.synchronize();
+    // Idle again: a default-stream record at the host's issue point.
+    dev.event_record(on_default, kDefaultStream);
+    dev.synchronize();
+
+    const std::vector<timeline::Node> ns = timeline::nodes();
+    EXPECT_EQ(describe_nodes(ns),
+              "1 h2d host 'memcpy H2D' bytes=128 deps=\n"
+              "2 d2d device 'memcpy D2D' bytes=128 deps=1,\n"
+              "3 record device 'event record' bytes=0 deps=2,\n"
+              "4 host host 'launch burn (s1)' bytes=0 deps=1,\n"
+              "5 kernel stream1 'burn' bytes=0 deps=1,\n"
+              "6 record stream1 'event record' bytes=0 deps=5,4,\n"
+              "7 wait device 'wait event' bytes=0 deps=6,\n"
+              "8 sync host 'synchronize' bytes=0 deps=4,7,\n"
+              "9 record device 'event record' bytes=0 deps=7,8,\n"
+              "10 sync host 'synchronize' bytes=0 deps=8,9,\n");
+
+    const auto d2d = nodes_of(timeline::Category::MemcpyD2D);
+    const auto records = nodes_of(timeline::Category::EventRecord);
+    const auto waits = nodes_of(timeline::Category::EventWait);
+    const auto kernels = nodes_of(timeline::Category::Kernel);
+    ASSERT_EQ(d2d.size(), 1u);
+    ASSERT_EQ(records.size(), 3u);
+    ASSERT_EQ(waits.size(), 1u);
+    ASSERT_EQ(kernels.size(), 1u);
+    EXPECT_EQ(d2d[0].bytes, bytes);
+    EXPECT_EQ(records[0].start, d2d[0].end);
+    EXPECT_EQ(waits[0].start, kernels[0].end);
+    EXPECT_EQ(waits[0].start, waits[0].end);
+    expect_tiled(timeline::analyze(), ns);
+}
+
 }  // namespace

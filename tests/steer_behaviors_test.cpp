@@ -147,14 +147,17 @@ TEST(Demo, RunsAnyRegisteredPluginAndAggregates) {
 
 TEST(DeviceEvents, BracketKernelTime) {
     cusim::Device dev(cusim::tiny_properties());
-    const auto start = dev.record_event();
+    const cusim::EventId start = dev.event_create();
+    const cusim::EventId stop = dev.event_create();
+    dev.event_record(start, cusim::kDefaultStream);
     auto entry = [](cusim::ThreadCtx& ctx) -> cusim::KernelTask {
         ctx.charge(cusim::Op::FAdd, 120000);
         co_return;
     };
     const auto stats = dev.launch(cusim::LaunchConfig{cusim::dim3{1}, cusim::dim3{32}}, entry);
-    const auto stop = dev.record_event();
-    EXPECT_NEAR(cusim::Device::elapsed_ms(start, stop), stats.device_seconds * 1e3, 1e-9);
+    dev.event_record(stop, cusim::kDefaultStream);
+    dev.event_synchronize(stop);
+    EXPECT_NEAR(dev.event_elapsed_ms(start, stop), stats.device_seconds * 1e3, 1e-9);
 }
 
 }  // namespace
