@@ -18,12 +18,42 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <source_location>
 #include <vector>
 
 #include "cusim/cost_model.hpp"
 #include "cusim/types.hpp"
 
 namespace cusim {
+
+/// Where a static branch site sits in the kernel source: the file-name
+/// pointer, line and column std::source_location reports for the call.
+/// Warps find their per-site records by this identity (WarpAcct::note_branch).
+struct SourceSite {
+    const char* file = nullptr;
+    std::uint_least32_t line = 0;
+    std::uint_least32_t column = 0;
+
+    [[nodiscard]] static SourceSite of(const std::source_location& loc) {
+        return SourceSite{loc.file_name(), loc.line(), loc.column()};
+    }
+
+    friend bool operator==(const SourceSite&, const SourceSite&) = default;
+
+    /// Stable identifier: FNV-1a over the file-name *text*, so two pointers
+    /// to the same file name give one key, hash-combined with line and
+    /// column so that nearby sites stay apart.
+    [[nodiscard]] std::uint64_t key() const {
+        std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+        for (const char* p = file; p != nullptr && *p != '\0'; ++p) {
+            h = (h ^ static_cast<unsigned char>(*p)) * 1099511628211ull;
+        }
+        const auto combine = [](std::uint64_t seed, std::uint64_t v) {
+            return seed ^ (v + 0x9E3779B97F4A7C15ull + (seed << 6) + (seed >> 2));
+        };
+        return combine(combine(h, line), column);
+    }
+};
 
 /// Per-site branch record within one warp.
 struct BranchSiteStats {
@@ -33,52 +63,71 @@ struct BranchSiteStats {
 
     explicit BranchSiteStats(std::uint64_t key) : site_key(key) {}
 
-    std::uint64_t site_key = 0;   ///< hash of the source location
-    std::uint64_t evaluations = 0;
-    std::uint64_t taken = 0;
+    std::uint64_t site_key = 0;   ///< SourceSite::key() of the location
     std::uint64_t divergent = 0;  ///< warp-steps whose lanes disagreed
 
-    std::vector<bool> pred_log;   ///< first-lane predicate per occurrence
-    std::vector<bool> diverged;   ///< occurrence already counted divergent
+    /// Divergence log, two bits per tracked occurrence in pairs of words
+    /// covering 64 occurrences each: bit k of the first word is the
+    /// predicate of the first lane to reach occurrence k, bit k of the
+    /// second says occurrence k was already counted divergent.
+    std::vector<std::uint64_t> log;
+    std::uint32_t logged = 0;     ///< occurrences in the log
     std::array<std::uint32_t, kWarpSize> lane_occurrence{};
 
+    /// Every lane's evaluations of this site.
+    [[nodiscard]] std::uint64_t evaluations() const {
+        std::uint64_t n = 0;
+        for (const std::uint32_t k : lane_occurrence) n += k;
+        return n;
+    }
+
     void note(unsigned lane, bool pred) {
-        ++evaluations;
-        taken += pred ? 1u : 0u;
         const std::uint32_t idx = lane_occurrence[lane]++;
-        if (idx >= kMaxTrackedOccurrences) return;
-        if (idx >= pred_log.size()) {
-            pred_log.resize(idx + 1, pred);
-            diverged.resize(idx + 1, false);
-        } else if (pred_log[idx] != pred && !diverged[idx]) {
-            diverged[idx] = true;
-            ++divergent;
+        // A lane is at most one occurrence ahead of the log, so past its
+        // end means either the first lane at a new occurrence or the cap.
+        if (idx >= logged) {
+            if (idx < kMaxTrackedOccurrences) append(pred);
+            return;
         }
+        if (first_pred(idx) != pred) count_split(idx);
     }
 
     /// Batched equivalent of calling note(l, (preds >> l) & 1) for every set
     /// lane of `mask` in ascending lane order, valid only when all those
     /// lanes sit at the same occurrence `idx` (the caller checks). One
-    /// popcount replaces up to 32 vector<bool> round trips.
+    /// popcount replaces up to 32 log round trips.
     void note_lanes(std::uint32_t mask, std::uint32_t preds, std::uint32_t idx) {
-        const auto n = static_cast<unsigned>(std::popcount(mask));
-        evaluations += n;
-        taken += static_cast<unsigned>(std::popcount(preds & mask));
         for (std::uint32_t m = mask; m != 0; m &= m - 1) {
             ++lane_occurrence[std::countr_zero(m)];
         }
-        if (idx >= kMaxTrackedOccurrences) return;
-        const bool pred0 = ((preds >> std::countr_zero(mask)) & 1u) != 0;
-        if (idx >= pred_log.size()) {
-            pred_log.resize(idx + 1, pred0);
-            diverged.resize(idx + 1, false);
+        if (idx >= logged) {
+            if (idx >= kMaxTrackedOccurrences) return;
+            append(((preds >> std::countr_zero(mask)) & 1u) != 0);
         }
-        const bool ref = pred_log[idx];
-        const std::uint32_t agree = ref ? (preds & mask) : (~preds & mask);
-        if (agree != mask && !diverged[idx]) {
-            diverged[idx] = true;
+        const std::uint32_t agree = first_pred(idx) ? (preds & mask) : (~preds & mask);
+        if (agree != mask) count_split(idx);
+    }
+
+private:
+    [[nodiscard]] bool first_pred(std::uint32_t idx) const {
+        return ((log[idx / 64 * 2] >> (idx % 64)) & 1u) != 0;
+    }
+
+    /// Counts occurrence `idx`, whose lanes split, divergent once.
+    void count_split(std::uint32_t idx) {
+        std::uint64_t& flags = log[idx / 64 * 2 + 1];
+        const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+        if ((flags & bit) == 0) {
+            flags |= bit;
             ++divergent;
         }
+    }
+
+    /// Logs occurrence `logged` with the first lane's predicate.
+    [[gnu::noinline]] void append(bool pred) {
+        if (logged % 64 == 0) log.resize(log.size() + 2);
+        log[logged / 64 * 2] |= std::uint64_t{pred} << (logged % 64);
+        ++logged;
     }
 };
 
@@ -142,58 +191,40 @@ struct WarpAcct {
     std::vector<BranchSiteStats> branch_sites;
     SharedAcct shared;
 
-    void note_branch(std::uint64_t site_key, unsigned lane, bool pred) {
-        for (auto& s : branch_sites) {
-            if (s.site_key == site_key) {
-                s.note(lane, pred);
-                return;
-            }
-        }
-        branch_sites.emplace_back(site_key);
-        branch_sites.back().note(lane, pred);
+    void note_branch(const SourceSite& src, unsigned lane, bool pred) {
+        site(src).note(lane, pred);
     }
 
     /// Warp-batched branch note: one site lookup for the whole warp instead
-    /// of one per lane. Equivalent to note_branch(key, l, (preds >> l) & 1)
+    /// of one per lane. Equivalent to note_branch(src, l, (preds >> l) & 1)
     /// for each set lane of `mask` in ascending order; when the lanes'
     /// occurrence counters have drifted apart (divergent control flow around
     /// the site itself), falls back to exactly those per-lane calls.
-    void note_branch_lanes(std::uint64_t site_key, std::uint32_t mask,
-                           std::uint32_t preds) {
+    void note_branch_lanes(const SourceSite& src, std::uint32_t mask, std::uint32_t preds) {
         if (mask == 0) return;
-        BranchSiteStats* site = nullptr;
-        for (auto& s : branch_sites) {
-            if (s.site_key == site_key) {
-                site = &s;
-                break;
-            }
-        }
-        if (site == nullptr) {
-            branch_sites.emplace_back(site_key);
-            site = &branch_sites.back();
-        }
+        BranchSiteStats& s = site(src);
         const auto l0 = static_cast<unsigned>(std::countr_zero(mask));
-        const std::uint32_t idx = site->lane_occurrence[l0];
+        const std::uint32_t idx = s.lane_occurrence[l0];
         bool aligned = true;
         if (mask == ~std::uint32_t{0}) {
             for (unsigned l = 0; l < kWarpSize; ++l) {
-                aligned &= site->lane_occurrence[l] == idx;
+                aligned &= s.lane_occurrence[l] == idx;
             }
         } else {
             for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-                if (site->lane_occurrence[std::countr_zero(m)] != idx) {
+                if (s.lane_occurrence[std::countr_zero(m)] != idx) {
                     aligned = false;
                     break;
                 }
             }
         }
         if (aligned) {
-            site->note_lanes(mask, preds, idx);
+            s.note_lanes(mask, preds, idx);
             return;
         }
         for (std::uint32_t m = mask; m != 0; m &= m - 1) {
             const auto l = static_cast<unsigned>(std::countr_zero(m));
-            site->note(l, ((preds >> l) & 1u) != 0);
+            s.note(l, ((preds >> l) & 1u) != 0);
         }
     }
 
@@ -206,9 +237,46 @@ struct WarpAcct {
 
     [[nodiscard]] std::uint64_t total_branch_evaluations() const {
         std::uint64_t n = 0;
-        for (const auto& s : branch_sites) n += s.evaluations;
+        for (const auto& s : branch_sites) n += s.evaluations();
         return n;
     }
+
+private:
+    /// The record a branch at `src` notes into. Sites are found by source
+    /// identity, trying the location this warp hit last first; the key is
+    /// hashed only when the warp first meets a location.
+    BranchSiteStats& site(const SourceSite& src) {
+        if (src == last_src_) return branch_sites[last_site_];
+        return find_site(src);
+    }
+
+    /// One source location this warp has met, and its index in
+    /// branch_sites (several locations share a site when their keys match).
+    struct SiteRef {
+        SourceSite src;
+        std::uint32_t site = 0;
+    };
+
+    [[gnu::noinline]] BranchSiteStats& find_site(SourceSite src) {
+        auto ref = site_refs_.begin();
+        while (ref != site_refs_.end() && ref->src != src) ++ref;
+        if (ref == site_refs_.end()) {
+            const std::uint64_t key = src.key();
+            std::uint32_t i = 0;
+            while (i < branch_sites.size() && branch_sites[i].site_key != key) ++i;
+            if (i == branch_sites.size()) branch_sites.emplace_back(key);
+            ref = site_refs_.insert(site_refs_.end(), SiteRef{src, i});
+        }
+        last_src_ = src;
+        last_site_ = ref->site;
+        return branch_sites[last_site_];
+    }
+
+    std::vector<SiteRef> site_refs_;
+    /// The location hit last and its branch_sites index. The initial value
+    /// matches no location: file_name() is never null.
+    SourceSite last_src_{nullptr, ~std::uint_least32_t{0}, ~std::uint_least32_t{0}};
+    std::uint32_t last_site_ = 0;
 };
 
 /// Per-thread accounting, folded into the warp when the thread finishes.

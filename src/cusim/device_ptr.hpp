@@ -53,9 +53,9 @@ public:
     /// §7). Cheaper than a plain read on access patterns with reuse.
     T tex_read(ThreadCtx& ctx, std::uint64_t i) const;
 
-    /// Sub-view starting at element `offset`.
+    /// Sub-view of `count` elements starting at element `offset`.
     [[nodiscard]] DevicePtr<T> slice(std::uint64_t offset, std::uint64_t count) const {
-        if (offset + count > count_) {
+        if (offset > count_ || count > count_ - offset) {
             throw Error(ErrorCode::InvalidDevicePointer, "slice out of range");
         }
         return DevicePtr<T>(base_ + offset * sizeof(T), addr_ + offset * sizeof(T), count,

@@ -75,10 +75,23 @@ void count_enqueue() {
     }
 }
 
+/// Rejects cost models no launch can run on, before the arena is allocated:
+/// zero multiprocessors leaves the grid model no MP to deal blocks to, and
+/// a zero texture-miss period is a modulus of zero.
+DeviceProperties checked(DeviceProperties props) {
+    if (props.cost.multiprocessors == 0) {
+        throw Error(ErrorCode::InvalidValue, "cost model needs at least one multiprocessor");
+    }
+    if (props.cost.texture_miss_period == 0) {
+        throw Error(ErrorCode::InvalidValue, "cost model texture_miss_period must be at least 1");
+    }
+    return props;
+}
+
 }  // namespace
 
 Device::Device(DeviceProperties props)
-    : props_(std::move(props)), memory_(props_.total_global_mem) {
+    : props_(checked(std::move(props))), memory_(props_.total_global_mem) {
     static std::atomic<int> next_ordinal{0};
     trace_ordinal_ = next_ordinal.fetch_add(1, std::memory_order_relaxed);
     memory_.shadow().set_device(trace_ordinal_);

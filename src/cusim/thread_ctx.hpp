@@ -40,6 +40,24 @@ struct BlockState {
     /// bit-identical to a serial run. Strict mode still throws at the
     /// faulting access either way.
     std::vector<memcheck::Violation>* violation_sink = nullptr;
+
+    /// Carves `count` elements of T out of the arena at `cursor` (aligned
+    /// up for T) and advances the cursor past them. Throws
+    /// InvalidConfiguration when they do not fit; the check cannot wrap,
+    /// whatever `count` is.
+    template <typename T>
+    SharedArray<T> carve(std::uint64_t& cursor, std::uint64_t count) {
+        const std::uint64_t size = shared_arena.size();
+        const std::uint64_t align = alignof(T);
+        const std::uint64_t offset = (cursor + align - 1) / align * align;
+        if (offset > size || count > (size - offset) / sizeof(T)) {
+            throw Error(ErrorCode::InvalidConfiguration,
+                        "shared_array exceeds the block's shared memory (" +
+                            std::to_string(size) + " bytes)");
+        }
+        cursor = offset + count * sizeof(T);
+        return SharedArray<T>(shared_arena.data() + offset, count);
+    }
 };
 
 class ThreadCtx {
@@ -56,6 +74,7 @@ public:
           block_idx_(block_idx),
           block_dim_(block_dim),
           grid_dim_(grid_dim),
+          lane_(linear_tid() % kWarpSize),
           cm_(cm),
           block_(block),
           warp_(warp),
@@ -107,40 +126,21 @@ public:
     /// Charges `n` instructions of class `op` per Table 2.2.
     void charge(Op op, unsigned n = 1) { acct_->charge(*cm_, op, n); }
 
-    /// Stable identifier for a static source site: FNV-1a over the file
-    /// name, hash-combined with line and column. (The previous scheme
-    /// XOR-ed the file_name() *pointer* with shifted line/column, which
-    /// collides across sites — e.g. any two sites whose line and column
-    /// both differ by the same masked amounts.) The file-name hash is
-    /// memoized per pointer: source_location hands out string-literal
-    /// pointers, so within one TU the pointer is a perfect cache key.
+    /// The key a warp groups branches at `loc` under (SourceSite::key).
     static std::uint64_t site_key(const std::source_location& loc) {
-        struct FileHash {
-            const char* file = nullptr;
-            std::uint64_t hash = 0;
-        };
-        thread_local FileHash cache;
-        if (cache.file != loc.file_name()) {
-            std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-            for (const char* p = loc.file_name(); p != nullptr && *p != '\0'; ++p) {
-                h = (h ^ static_cast<unsigned char>(*p)) * 1099511628211ull;
-            }
-            cache.file = loc.file_name();
-            cache.hash = h;
-        }
-        const auto combine = [](std::uint64_t seed, std::uint64_t v) {
-            return seed ^ (v + 0x9E3779B97F4A7C15ull + (seed << 6) + (seed >> 2));
-        };
-        return combine(combine(cache.hash, loc.line()), loc.column());
+        return SourceSite::of(loc).key();
     }
 
     /// Control-flow instruction with divergence tracking. Returns `pred`, so
     /// kernels write `if (ctx.branch(d2 < r2)) { ... }`. The warp records
-    /// taken/not-taken counts per static site; see accounting.hpp for the
-    /// divergence estimator.
+    /// evaluations per static site; see accounting.hpp for the divergence
+    /// estimator. Forced inline: it runs once per simulated branch, and the
+    /// call with its register saves cost about 7% of a perfbench boids_v5
+    /// step (4-core x86-64 host) when the compiler keeps it out of line.
+    [[gnu::always_inline]]
     bool branch(bool pred, std::source_location loc = std::source_location::current()) {
         acct_->charge(*cm_, Op::Branch);
-        warp_->note_branch(site_key(loc), linear_tid() % kWarpSize, pred);
+        warp_->note_branch(SourceSite::of(loc), lane_, pred);
         return pred;
     }
 
@@ -153,13 +153,13 @@ public:
     /// Bank-conflict tracking hook, called behind prof::collecting() with a
     /// pointer into the block's shared arena (see SharedAcct). Accesses
     /// through pointers outside the arena (unit tests driving SharedArray
-    /// over stack buffers) are ignored.
-    void note_shared_access(const std::byte* p) {
+    /// over stack buffers) are ignored. Out of line: only the profiler
+    /// reaches it.
+    [[gnu::noinline]] void note_shared_access(const std::byte* p) {
         if (block_ == nullptr || block_->shared_arena.empty()) return;
         const std::byte* base = block_->shared_arena.data();
         if (p < base || p >= base + block_->shared_arena.size()) return;
-        warp_->shared.note(linear_tid() % kWarpSize,
-                           static_cast<std::uint64_t>(p - base));
+        warp_->shared.note(lane_, static_cast<std::uint64_t>(p - base));
     }
 
     /// Accounts one texture fetch: served from the texture cache except for
@@ -180,16 +180,7 @@ public:
     /// as every CUDA thread sees the same __shared__ declarations).
     template <typename T>
     SharedArray<T> shared_array(std::uint64_t count) {
-        const std::uint64_t align = alignof(T);
-        std::uint64_t offset = (shared_cursor_ + align - 1) / align * align;
-        const std::uint64_t end = offset + count * sizeof(T);
-        if (end > block_->shared_arena.size()) {
-            throw Error(ErrorCode::InvalidConfiguration,
-                        "shared_array exceeds the block's shared memory (" +
-                            std::to_string(block_->shared_arena.size()) + " bytes)");
-        }
-        shared_cursor_ = end;
-        return SharedArray<T>(block_->shared_arena.data() + offset, count);
+        return block_->carve<T>(shared_cursor_, count);
     }
 
     // --- diagnostics ---
@@ -297,6 +288,15 @@ public:
     [[nodiscard]] BlockState& block_state() { return *block_; }
 
 private:
+    /// Throws the error of an out-of-range accounted element access:
+    /// "<what> at index <i> of <count> by <where()>". Cold and out of line,
+    /// so the accessors' common path carries none of the message building.
+    [[noreturn, gnu::cold, gnu::noinline]] void throw_out_of_range(
+        ErrorCode code, const char* what, std::uint64_t i, std::uint64_t count) const {
+        throw Error(code, std::string(what) + " at index " + std::to_string(i) + " of " +
+                              std::to_string(count) + " by " + where());
+    }
+
     /// Inverse of linear_tid() (CUDA convention: x fastest).
     [[nodiscard]] uint3 delinearize(unsigned tid) const {
         uint3 t;
@@ -310,11 +310,14 @@ private:
     friend class DevicePtr;
     template <typename T>
     friend class SharedArray;
+    template <typename T>
+    friend class ConstantPtr;
 
     uint3 thread_idx_;
     uint3 block_idx_;
     dim3 block_dim_;
     dim3 grid_dim_;
+    unsigned lane_;  ///< linear_tid() % kWarpSize: this thread's slot in its warp
     const CostModel* cm_;
     BlockState* block_;
     WarpAcct* warp_;
@@ -333,9 +336,7 @@ private:
 template <typename T>
 T DevicePtr<T>::read(ThreadCtx& ctx, std::uint64_t i) const {
     if (i >= count_) {
-        throw Error(ErrorCode::InvalidDevicePointer,
-                    "device read at index " + std::to_string(i) + " of " +
-                        std::to_string(count_) + " by " + ctx.where());
+        ctx.throw_out_of_range(ErrorCode::InvalidDevicePointer, "device read", i, count_);
     }
     if (memcheck::enabled()) {
         ctx.memcheck_global_access(addr_ + i * sizeof(T), sizeof(T), alloc_id_,
@@ -352,9 +353,7 @@ T DevicePtr<T>::read(ThreadCtx& ctx, std::uint64_t i) const {
 template <typename T>
 void DevicePtr<T>::write(ThreadCtx& ctx, std::uint64_t i, const T& v) const {
     if (i >= count_) {
-        throw Error(ErrorCode::InvalidDevicePointer,
-                    "device write at index " + std::to_string(i) + " of " +
-                        std::to_string(count_) + " by " + ctx.where());
+        ctx.throw_out_of_range(ErrorCode::InvalidDevicePointer, "device write", i, count_);
     }
     if (memcheck::enabled()) {
         ctx.memcheck_global_access(addr_ + i * sizeof(T), sizeof(T), alloc_id_,
@@ -369,9 +368,7 @@ void DevicePtr<T>::write(ThreadCtx& ctx, std::uint64_t i, const T& v) const {
 template <typename T>
 T DevicePtr<T>::tex_read(ThreadCtx& ctx, std::uint64_t i) const {
     if (i >= count_) {
-        throw Error(ErrorCode::InvalidDevicePointer,
-                    "texture fetch at index " + std::to_string(i) + " of " +
-                        std::to_string(count_) + " by " + ctx.where());
+        ctx.throw_out_of_range(ErrorCode::InvalidDevicePointer, "texture fetch", i, count_);
     }
     if (memcheck::enabled()) {
         ctx.memcheck_global_access(addr_ + i * sizeof(T), sizeof(T), alloc_id_,
@@ -391,9 +388,7 @@ T DevicePtr<T>::tex_read(ThreadCtx& ctx, std::uint64_t i) const {
 template <typename T>
 T ConstantPtr<T>::read(ThreadCtx& ctx, std::uint64_t i) const {
     if (i >= count_) {
-        throw Error(ErrorCode::InvalidDevicePointer,
-                    "constant read at index " + std::to_string(i) + " of " +
-                        std::to_string(count_) + " by " + ctx.where());
+        ctx.throw_out_of_range(ErrorCode::InvalidDevicePointer, "constant read", i, count_);
     }
     ctx.charge(Op::ConstantRead);
     T v;
@@ -404,9 +399,7 @@ T ConstantPtr<T>::read(ThreadCtx& ctx, std::uint64_t i) const {
 template <typename T>
 T SharedArray<T>::read(ThreadCtx& ctx, std::uint64_t i) const {
     if (i >= count_) {
-        throw Error(ErrorCode::InvalidValue,
-                    "shared read at index " + std::to_string(i) + " of " +
-                        std::to_string(count_) + " by " + ctx.where());
+        ctx.throw_out_of_range(ErrorCode::InvalidValue, "shared read", i, count_);
     }
     if (memcheck::enabled()) {
         ctx.memcheck_shared_access(base_ + i * sizeof(T), sizeof(T), /*is_write=*/false);
@@ -421,9 +414,7 @@ T SharedArray<T>::read(ThreadCtx& ctx, std::uint64_t i) const {
 template <typename T>
 void SharedArray<T>::write(ThreadCtx& ctx, std::uint64_t i, const T& v) const {
     if (i >= count_) {
-        throw Error(ErrorCode::InvalidValue,
-                    "shared write at index " + std::to_string(i) + " of " +
-                        std::to_string(count_) + " by " + ctx.where());
+        ctx.throw_out_of_range(ErrorCode::InvalidValue, "shared write", i, count_);
     }
     if (memcheck::enabled()) {
         ctx.memcheck_shared_access(base_ + i * sizeof(T), sizeof(T), /*is_write=*/true);

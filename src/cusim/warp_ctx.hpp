@@ -109,7 +109,7 @@ public:
         // base_tid_ is a multiple of kWarpSize, so lane l *is* the
         // (tid % kWarpSize) slot ThreadCtx::branch would note — the whole
         // warp's predicates go to the divergence estimator in one call.
-        warp_->note_branch_lanes(ThreadCtx::site_key(loc), active_, preds);
+        warp_->note_branch_lanes(SourceSite::of(loc), active_, preds);
         return preds;
     }
 
@@ -201,16 +201,7 @@ public:
     /// lane(l).shared_array(): the lane facades keep separate cursors.
     template <typename T>
     SharedArray<T> shared_array(std::uint64_t count) {
-        const std::uint64_t align = alignof(T);
-        std::uint64_t offset = (shared_cursor_ + align - 1) / align * align;
-        const std::uint64_t end = offset + count * sizeof(T);
-        if (end > block_->shared_arena.size()) {
-            throw Error(ErrorCode::InvalidConfiguration,
-                        "shared_array exceeds the block's shared memory (" +
-                            std::to_string(block_->shared_arena.size()) + " bytes)");
-        }
-        shared_cursor_ = end;
-        return SharedArray<T>(block_->shared_arena.data() + offset, count);
+        return block_->carve<T>(shared_cursor_, count);
     }
 
     // --- lane-batched accounted memory ops --------------------------------

@@ -224,6 +224,37 @@ TEST(Engine, LaunchGeometryValidation) {
     EXPECT_THROW(dev.launch(too_much_shared, noop), Error);
 }
 
+// A shared_array count so large that offset + count * sizeof(T) wraps in
+// 64 bits must be rejected, not carved: a wrapped end passes a naive
+// bounds check and hands out a view far past the arena.
+TEST(Engine, OversizedSharedArrayIsRejectedWithoutWrapping) {
+    const CostModel cm;
+    BlockState block;
+    block.shared_arena.resize(64);
+    WarpAcct warp;
+    const auto expect_rejected = [](auto carve) {
+        try {
+            (void)carve();
+            FAIL() << "expected InvalidConfiguration";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.code(), ErrorCode::InvalidConfiguration);
+        }
+    };
+    ThreadCtx ctx(uint3{}, uint3{}, dim3{32}, dim3{1}, &cm, &block, &warp);
+    expect_rejected([&] { return ctx.shared_array<std::uint64_t>(1ull << 61); });
+    EXPECT_EQ(ctx.shared_array<std::uint64_t>(1).size(), 1u);
+    // From a non-zero cursor: 8 + ((2^61 - 1) * 8) wraps to 0.
+    expect_rejected([&] { return ctx.shared_array<std::uint64_t>((1ull << 61) - 1); });
+
+    WarpCtx w(0, kWarpSize, uint3{}, dim3{32}, dim3{1}, &cm, &block, &warp);
+    expect_rejected([&] { return w.shared_array<std::uint64_t>(1ull << 61); });
+    EXPECT_EQ(w.shared_array<std::uint64_t>(1).size(), 1u);
+    expect_rejected([&] { return w.shared_array<std::uint64_t>((1ull << 61) - 1); });
+    // What fits is still carved, up to the last byte.
+    EXPECT_EQ(w.shared_array<std::uint64_t>(7).size(), 7u);
+    expect_rejected([&] { return w.shared_array<std::uint8_t>(1); });
+}
+
 // 3-D grids run every block, not just one z-slice: each block increments its
 // own linear-bid slot exactly once, covering all of grid.count().
 KernelTask count_block_kernel(ThreadCtx& ctx, DevicePtr<int> slots) {

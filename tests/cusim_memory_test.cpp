@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "cusim/device.hpp"
@@ -121,6 +122,40 @@ TEST(Device, ViewValidatesRange) {
     auto p = dev.malloc_n<int>(10);
     EXPECT_NO_THROW((void)dev.view<int>(p.addr(), 10));
     EXPECT_THROW((void)dev.view<int>(p.addr(), 11), Error);
+}
+
+TEST(Device, SliceRejectsRangesThatWrap) {
+    Device dev(tiny_properties());
+    auto p = dev.malloc_n<std::uint8_t>(64);
+    EXPECT_EQ(p.slice(1, 63).size(), 63u);
+    EXPECT_EQ(p.slice(64, 0).size(), 0u);
+    for (const auto& [offset, count] :
+         {std::pair{1ull, ~0ull}, std::pair{~0ull, 2ull}, std::pair{65ull, 0ull},
+          std::pair{1ull, 64ull}}) {
+        try {
+            (void)p.slice(offset, count);
+            FAIL() << "slice(" << offset << ", " << count << ") accepted";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.code(), ErrorCode::InvalidDevicePointer);
+        }
+    }
+}
+
+TEST(Device, RejectsCostModelsALaunchCannotRun) {
+    // Zero multiprocessors hangs the grid timing model; a zero texture-miss
+    // period divides by zero on the first texture fetch.
+    DeviceProperties no_mps = tiny_properties();
+    no_mps.cost.multiprocessors = 0;
+    DeviceProperties no_miss_period = tiny_properties();
+    no_miss_period.cost.texture_miss_period = 0;
+    for (const DeviceProperties& props : {no_mps, no_miss_period}) {
+        try {
+            Device dev(props);
+            FAIL() << "expected InvalidValue";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.code(), ErrorCode::InvalidValue);
+        }
+    }
 }
 
 TEST(Device, DeviceToDeviceCopyUsesDeviceTime) {
