@@ -18,7 +18,11 @@
 //    dirty() (call_traits.hpp).
 //
 // Kernels are ordinary functions `cusim::KernelTask k(cusim::ThreadCtx&,
-// Params...)` — the simulator's equivalent of a __global__ function. Plain
+// Params...)` — the simulator's equivalent of a __global__ function. A
+// kernel may also come with a warp-native form `cusim::KernelTask
+// k_warp(cusim::WarpCtx&, Params...)` (cusim/warp_ctx.hpp) that runs once
+// per warp; both forms unpack the same kernel stack, and the engine
+// selection picks which one executes. Plain
 // `T&` parameters arrive as references into simulated global memory;
 // element accesses through them are not cycle-accounted (use the accounted
 // container device types, e.g. deviceT::vector, in performance-relevant
@@ -105,6 +109,8 @@ template <typename... Args>
 class kernel<cusim::KernelTask (*)(cusim::ThreadCtx&, Args...)> {
 public:
     using fn_type = cusim::KernelTask (*)(cusim::ThreadCtx&, Args...);
+    /// The warp-native form of the same kernel: one call per warp.
+    using warp_fn_type = cusim::KernelTask (*)(cusim::WarpCtx&, Args...);
     static constexpr std::size_t arity = sizeof...(Args);
 
     /// Wraps a kernel function pointer; grid and block dimensions may be
@@ -113,13 +119,33 @@ public:
     /// changed later with set-methods").
     explicit kernel(fn_type f, cusim::dim3 grid_dim = cusim::dim3{1},
                     cusim::dim3 block_dim = cusim::dim3{cusim::kWarpSize})
-        : fn_(f), grid_(grid_dim), block_(block_dim) {
+        : kernel(f, nullptr, grid_dim, block_dim) {}
+
+    /// Wraps a kernel given in both forms. The thread form stays the
+    /// reference; the warp form must charge every lane what the thread form
+    /// charges its thread (cusim/warp_ctx.hpp), and the engine selection
+    /// (CUPP_SIM_ENGINE) decides which one runs. The call protocol is the
+    /// same either way.
+    kernel(fn_type f, warp_fn_type warp_f, cusim::dim3 grid_dim = cusim::dim3{1},
+           cusim::dim3 block_dim = cusim::dim3{cusim::kWarpSize})
+        : grid_(grid_dim), block_(block_dim) {
         static_assert(detail::stack_size<Args...>() <= cusim::rt::kKernelStackSize,
                       "kernel parameters exceed the 256-byte kernel stack");
+        cusim::rt::WarpTrampoline warp;
+        if (warp_f != nullptr) {
+            warp = [warp_f](cusim::WarpCtx& w, cusim::Device& dev, const std::byte* stack) {
+                return invoke(warp_f, w, dev, stack, std::index_sequence_for<Args...>{});
+            };
+        }
+        // Keyed by the function pointers: every kernel object of one
+        // function shares one registration.
         handle_ = cusim::rt::register_kernel(
             [f](cusim::ThreadCtx& ctx, cusim::Device& dev, const std::byte* stack) {
                 return invoke(f, ctx, dev, stack, std::index_sequence_for<Args...>{});
-            });
+            },
+            std::move(warp),
+            cusim::rt::KernelKey{reinterpret_cast<void (*)()>(f),
+                                 reinterpret_cast<void (*)()>(warp_f)});
     }
 
     // --- configuration ---
@@ -373,13 +399,14 @@ private:
         }
     }
 
-    template <std::size_t... I>
-    static cusim::KernelTask invoke(fn_type f, cusim::ThreadCtx& ctx, cusim::Device& dev,
-                                    const std::byte* stack, std::index_sequence<I...>) {
+    /// Calls either form of the kernel with the arguments on `stack`.
+    template <typename Ctx, std::size_t... I>
+    static cusim::KernelTask invoke(cusim::KernelTask (*f)(Ctx&, Args...), Ctx& ctx,
+                                    cusim::Device& dev, const std::byte* stack,
+                                    std::index_sequence<I...>) {
         return f(ctx, unpack<I>(dev, stack)...);
     }
 
-    fn_type fn_;
     cusim::rt::KernelHandle handle_;
     cusim::dim3 grid_;
     cusim::dim3 block_;
@@ -396,6 +423,15 @@ kernel(cusim::KernelTask (*)(cusim::ThreadCtx&, Args...), cusim::dim3, cusim::di
     -> kernel<cusim::KernelTask (*)(cusim::ThreadCtx&, Args...)>;
 template <typename... Args>
 kernel(cusim::KernelTask (*)(cusim::ThreadCtx&, Args...))
+    -> kernel<cusim::KernelTask (*)(cusim::ThreadCtx&, Args...)>;
+/// Both forms: `cupp::kernel f(&k, &k_warp, grid, block);`
+template <typename... Args>
+kernel(cusim::KernelTask (*)(cusim::ThreadCtx&, Args...),
+       cusim::KernelTask (*)(cusim::WarpCtx&, Args...), cusim::dim3, cusim::dim3)
+    -> kernel<cusim::KernelTask (*)(cusim::ThreadCtx&, Args...)>;
+template <typename... Args>
+kernel(cusim::KernelTask (*)(cusim::ThreadCtx&, Args...),
+       cusim::KernelTask (*)(cusim::WarpCtx&, Args...))
     -> kernel<cusim::KernelTask (*)(cusim::ThreadCtx&, Args...)>;
 
 }  // namespace cupp

@@ -97,8 +97,12 @@ struct BranchSiteStats {
     /// lanes sit at the same occurrence `idx` (the caller checks). One
     /// popcount replaces up to 32 log round trips.
     void note_lanes(std::uint32_t mask, std::uint32_t preds, std::uint32_t idx) {
-        for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-            ++lane_occurrence[std::countr_zero(m)];
+        if (mask == ~std::uint32_t{0}) {
+            for (std::uint32_t& k : lane_occurrence) ++k;
+        } else {
+            for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+                ++lane_occurrence[std::countr_zero(m)];
+            }
         }
         if (idx >= logged) {
             if (idx >= kMaxTrackedOccurrences) return;
@@ -207,9 +211,9 @@ struct WarpAcct {
         const std::uint32_t idx = s.lane_occurrence[l0];
         bool aligned = true;
         if (mask == ~std::uint32_t{0}) {
-            for (unsigned l = 0; l < kWarpSize; ++l) {
-                aligned &= s.lane_occurrence[l] == idx;
-            }
+            std::uint32_t drift = 0;
+            for (const std::uint32_t k : s.lane_occurrence) drift |= k ^ idx;
+            aligned = drift == 0;
         } else {
             for (std::uint32_t m = mask; m != 0; m &= m - 1) {
                 if (s.lane_occurrence[std::countr_zero(m)] != idx) {

@@ -29,16 +29,25 @@ ErrorCode set_error(ErrorCode code) {
     return code;
 }
 
-/// Registered trampolines. A deque keeps element addresses stable, so the
+/// One registered kernel. Keyless registrations keep the null key, which
+/// no lookup matches.
+struct Registered {
+    KernelKey key;
+    Trampoline thread;
+    WarpTrampoline warp;
+};
+
+/// Registered kernels. A deque keeps element addresses stable, so the
 /// element address itself can serve as the handle.
-std::deque<Trampoline>& trampolines() {
-    static std::deque<Trampoline> t;
-    return t;
-}
-std::mutex& trampoline_mutex() {
-    static std::mutex m;
-    return m;
-}
+struct KernelRegistry {
+    std::mutex mutex;
+    std::deque<Registered> kernels;
+
+    static KernelRegistry& instance() {
+        static KernelRegistry r;
+        return r;
+    }
+};
 
 template <typename F>
 ErrorCode guarded(F&& f) {
@@ -52,8 +61,8 @@ ErrorCode guarded(F&& f) {
     }
 }
 
-/// Graph/exec handle registries. Mutex-guarded like the trampolines: the
-/// C API may be driven from several host threads.
+/// Graph/exec handle registries. Mutex-guarded like the kernels: the C API
+/// may be driven from several host threads.
 struct GraphRegistry {
     std::mutex mutex;
     std::map<GraphHandle, Graph> graphs;
@@ -69,10 +78,22 @@ struct GraphRegistry {
 
 }  // namespace
 
-KernelHandle register_kernel(Trampoline trampoline) {
-    std::lock_guard<std::mutex> lock(trampoline_mutex());
-    trampolines().push_back(std::move(trampoline));
-    return &trampolines().back();
+KernelHandle register_kernel(Trampoline trampoline, WarpTrampoline warp, KernelKey key) {
+    KernelRegistry& r = KernelRegistry::instance();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    if (key != KernelKey{}) {
+        for (const Registered& k : r.kernels) {
+            if (k.key == key) return &k;
+        }
+    }
+    r.kernels.push_back(Registered{key, std::move(trampoline), std::move(warp)});
+    return &r.kernels.back();
+}
+
+std::size_t registered_kernel_count() {
+    KernelRegistry& r = KernelRegistry::instance();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    return r.kernels.size();
 }
 
 ErrorCode cusimSetDevice(int device) {
@@ -254,17 +275,20 @@ ErrorCode cusimMemcpyToHostAsync(void* dst, DeviceAddr src, std::size_t count,
 ErrorCode cusimLaunchAsync(KernelHandle kernel, const char* name, StreamId stream) {
     if (!kernel) return set_error(ErrorCode::InvalidValue);
     if (!t_launch.configured) return set_error(ErrorCode::InvalidConfiguration);
-    const auto* trampoline = static_cast<const Trampoline*>(kernel);
+    const auto* k = static_cast<const Registered*>(kernel);
     return guarded([&] {
         Device& dev = Registry::instance().current_device();
-        // The closure owns a copy of the stack, so the thread-local staging
+        // The closures own a copy of the stack, so the thread-local staging
         // area is free for the next configure/setup sequence immediately
         // (an enqueued launch runs after this call returns).
         auto stack = std::make_shared<std::array<std::byte, kKernelStackSize>>(t_launch.stack);
-        KernelEntry entry = [trampoline, &dev, stack](ThreadCtx& ctx) {
-            return (*trampoline)(ctx, dev, stack->data());
-        };
-        dev.launch_async(t_launch.config, entry,
+        KernelSpec spec([k, &dev, stack](ThreadCtx& ctx) {
+            return k->thread(ctx, dev, stack->data());
+        });
+        if (k->warp) {
+            spec.warp = [k, &dev, stack](WarpCtx& w) { return k->warp(w, dev, stack->data()); };
+        }
+        dev.launch_async(t_launch.config, std::move(spec),
                          name ? std::string_view(name) : std::string_view{}, stream);
         t_launch.configured = false;
     });

@@ -7,7 +7,8 @@
 //
 // Because the simulator has no nvcc, "__global__ function pointers" are
 // handles obtained by registering a trampoline that unpacks the kernel
-// stack into the typed coroutine call.
+// stack into the typed coroutine call — and, for a kernel that also has a
+// warp-native form, a second trampoline that unpacks it into the warp call.
 #pragma once
 
 #include <cstddef>
@@ -30,10 +31,33 @@ using KernelHandle = const void*;
 /// thread's coroutine.
 using Trampoline =
     std::function<KernelTask(ThreadCtx&, Device&, const std::byte* stack)>;
+/// The warp form of a registered kernel: unpacks the same stack and creates
+/// one warp's coroutine (warp_ctx.hpp).
+using WarpTrampoline =
+    std::function<KernelTask(WarpCtx&, Device&, const std::byte* stack)>;
 
-/// Registers a kernel trampoline; the returned handle is what
-/// cusimLaunch accepts. Handles stay valid for the process lifetime.
-KernelHandle register_kernel(Trampoline trampoline);
+/// Names a kernel function across registrations: the addresses of its
+/// thread form and, if it has one, its warp form. cupp::kernel passes its
+/// function pointers here.
+struct KernelKey {
+    void (*thread)() = nullptr;
+    void (*warp)() = nullptr;
+
+    friend bool operator==(const KernelKey&, const KernelKey&) = default;
+};
+
+/// Registers a kernel trampoline, optionally with its warp form; the
+/// returned handle is what cusimLaunch accepts. A launch of a kernel with
+/// both forms carries both (KernelSpec), and the engine selection picks
+/// one. With a `key`, only the first call for that key registers: later
+/// calls return its handle and drop their trampolines, which unpack the
+/// same function. Handles stay valid for the process lifetime: enqueued
+/// launches hold the trampolines, so nothing is ever unregistered.
+KernelHandle register_kernel(Trampoline trampoline, WarpTrampoline warp = {},
+                             KernelKey key = {});
+
+/// Kernels registered so far in this process.
+std::size_t registered_kernel_count();
 
 // --- device management (§3.2.1) ---
 ErrorCode cusimSetDevice(int device);

@@ -18,11 +18,14 @@
 // enforces exactly this across both engines.
 //
 // Fast path / slow path: while memcheck is off, lane-batched accessors
-// validate bounds, charge all active lanes with plain (vectorizable) loops
-// and move the data with memcpy. While memcheck is on, every access is
-// routed through the lane's full ThreadCtx facade (lane(l)) — the identical
-// code path the thread engine runs, so diagnostics, shadow-state updates
-// and strict-mode throws match to the byte.
+// validate bounds, charge the active lanes and move the data with memcpy.
+// A charge made while the whole warp is active is booked once, in a
+// warp-uniform account every lane owes; divergent masks charge each active
+// lane's slot. A broadcast read (all lanes read one shared element) costs
+// one bounds check, one charge and one copy. While memcheck is on, every
+// access is routed through the lane's full ThreadCtx facade (lane(l)) — the
+// identical code path the thread engine runs, so diagnostics, shadow-state
+// updates and strict-mode throws match to the byte.
 #pragma once
 
 #include <bit>
@@ -172,27 +175,26 @@ public:
     }
 
     // --- accounting -------------------------------------------------------
-    /// Charges `n` instructions of class `op` to every active lane. A full
-    /// warp takes the branch-free vector loop; divergent masks bit-walk.
+    /// Charges `n` instructions of class `op` to every active lane. While
+    /// every lane of the warp is active the charge lands once in the
+    /// warp-uniform account (see uniform_); divergent masks bit-walk the
+    /// per-lane slots.
     void charge(Op op, unsigned n = 1) {
         const std::uint64_t c = std::uint64_t{cm_->issue_cycles(op)} * n;
         const std::uint64_t s = std::uint64_t{cm_->stall_cycles(op)} * n;
-        if (active_ == ~std::uint32_t{0}) [[likely]] {
-            for (unsigned l = 0; l < kWarpSize; ++l) {
-                accts_[l].compute_cycles += c;
-                accts_[l].stall_cycles += s;
-            }
-        } else {
-            for (std::uint32_t m = active_; m != 0; m &= m - 1) {
-                const auto l = static_cast<unsigned>(std::countr_zero(m));
-                accts_[l].compute_cycles += c;
-                accts_[l].stall_cycles += s;
-            }
+        if (active_ == full_mask_) [[likely]] {
+            uniform_.compute_cycles += c;
+            uniform_.stall_cycles += s;
+            return;
+        }
+        for (std::uint32_t m = active_; m != 0; m &= m - 1) {
+            const auto l = static_cast<unsigned>(std::countr_zero(m));
+            accts_[l].compute_cycles += c;
+            accts_[l].stall_cycles += s;
         }
     }
 
     [[nodiscard]] const CostModel& cost_model() const { return *cm_; }
-    [[nodiscard]] ThreadAcct& lane_acct(unsigned l) { return accts_[l]; }
 
     // --- shared memory ----------------------------------------------------
     /// Carves a typed array out of the block's shared arena — one carve per
@@ -277,7 +279,7 @@ public:
         }
         check_bounds(a.count_, idx, [&](unsigned l) { (void)a.read(lane(l), idx[l]); });
         charge(Op::SharedAccess);
-        note_shared_lanes(a, idx, sizeof(T));
+        note_shared_lanes([&](unsigned l) { return a.base_ + idx[l] * sizeof(T); });
         if (active_ == ~std::uint32_t{0}) [[likely]] {
             if (contiguous(idx)) {
                 std::memcpy(out, a.base_ + idx[0] * sizeof(T), kWarpSize * sizeof(T));
@@ -294,6 +296,27 @@ public:
         }
     }
 
+    /// Broadcast read: every active lane reads element `i` (the tile loop
+    /// of a shared-memory kernel). One bounds check, one charge and one
+    /// copy stand in for the per-lane reads; the bank-conflict tracker
+    /// still sees each lane's access while the profiler collects. With
+    /// memcheck on, or `i` out of range, the lanes read through their
+    /// facades, so diagnostics match the thread engine byte for byte.
+    template <typename T>
+    T read_broadcast(const SharedArray<T>& a, std::uint64_t i) {
+        T v{};
+        if (memcheck::enabled() || i >= a.count_) [[unlikely]] {
+            for (std::uint32_t m = active_; m != 0; m &= m - 1) {
+                v = a.read(lane(static_cast<unsigned>(std::countr_zero(m))), i);
+            }
+            return v;
+        }
+        charge(Op::SharedAccess);
+        note_shared_lanes([&](unsigned) { return a.base_ + i * sizeof(T); });
+        std::memcpy(&v, a.base_ + i * sizeof(T), sizeof(T));
+        return v;
+    }
+
     template <typename T>
     void write(const SharedArray<T>& a, const std::uint64_t* idx, const T* v) {
         if (memcheck::enabled()) {
@@ -305,7 +328,7 @@ public:
         }
         check_bounds(a.count_, idx, [&](unsigned l) { a.write(lane(l), idx[l], v[l]); });
         charge(Op::SharedAccess);
-        note_shared_lanes(a, idx, sizeof(T));
+        note_shared_lanes([&](unsigned l) { return a.base_ + idx[l] * sizeof(T); });
         if (active_ == ~std::uint32_t{0}) [[likely]] {
             if (contiguous(idx)) {
                 std::memcpy(a.base_ + idx[0] * sizeof(T), v, kWarpSize * sizeof(T));
@@ -347,16 +370,21 @@ public:
     /// Folds the lanes into the warp's accounting at warp retirement: cycles
     /// at the pace of the slowest lane (SIMD max), traffic summed over
     /// lanes — the same fold the thread engine performs per finished thread.
+    /// Each lane's total is its own slot plus the warp-uniform account, so
+    /// the integers are the ones per-lane charging would have produced.
     void fold_into_warp_acct() {
         WarpAcct& w = *warp_;
+        const ThreadAcct& u = uniform_;
         for (unsigned l = 0; l < nlanes_; ++l) {
             const ThreadAcct& a = accts_[l];
-            if (a.compute_cycles > w.compute_cycles) w.compute_cycles = a.compute_cycles;
-            if (a.stall_cycles > w.stall_cycles) w.stall_cycles = a.stall_cycles;
-            w.bytes_read += a.bytes_read;
-            w.bytes_written += a.bytes_written;
-            w.useful_bytes_read += a.useful_bytes_read;
-            w.useful_bytes_written += a.useful_bytes_written;
+            const std::uint64_t compute = a.compute_cycles + u.compute_cycles;
+            const std::uint64_t stall = a.stall_cycles + u.stall_cycles;
+            if (compute > w.compute_cycles) w.compute_cycles = compute;
+            if (stall > w.stall_cycles) w.stall_cycles = stall;
+            w.bytes_read += a.bytes_read + u.bytes_read;
+            w.bytes_written += a.bytes_written + u.bytes_written;
+            w.useful_bytes_read += a.useful_bytes_read + u.useful_bytes_read;
+            w.useful_bytes_written += a.useful_bytes_written + u.useful_bytes_written;
         }
     }
 
@@ -401,30 +429,11 @@ private:
         return c;
     }
 
-    /// Global-memory charge for one access per active lane.
+    /// Global-memory charge for one access per active lane: the cycles
+    /// through charge(), the traffic into the same account charge() picks.
     void charge_global(Op op, std::uint64_t charged, std::uint64_t useful, bool is_read) {
-        const std::uint64_t c = cm_->issue_cycles(op);
-        const std::uint64_t s = cm_->stall_cycles(op);
-        if (active_ == ~std::uint32_t{0}) [[likely]] {
-            for (unsigned l = 0; l < kWarpSize; ++l) {
-                ThreadAcct& a = accts_[l];
-                a.compute_cycles += c;
-                a.stall_cycles += s;
-                if (is_read) {
-                    a.bytes_read += charged;
-                    a.useful_bytes_read += useful;
-                } else {
-                    a.bytes_written += charged;
-                    a.useful_bytes_written += useful;
-                }
-            }
-            return;
-        }
-        for (std::uint32_t m = active_; m != 0; m &= m - 1) {
-            const auto l = static_cast<unsigned>(std::countr_zero(m));
-            ThreadAcct& a = accts_[l];
-            a.compute_cycles += c;
-            a.stall_cycles += s;
+        charge(op);
+        const auto add_traffic = [&](ThreadAcct& a) {
             if (is_read) {
                 a.bytes_read += charged;
                 a.useful_bytes_read += useful;
@@ -432,20 +441,27 @@ private:
                 a.bytes_written += charged;
                 a.useful_bytes_written += useful;
             }
+        };
+        if (active_ == full_mask_) [[likely]] {
+            add_traffic(uniform_);
+            return;
+        }
+        for (std::uint32_t m = active_; m != 0; m &= m - 1) {
+            add_traffic(accts_[std::countr_zero(m)]);
         }
     }
 
-    /// Bank-conflict bookkeeping for a lane-batched shared access, gated on
-    /// prof like ThreadCtx::note_shared_access.
-    template <typename T>
-    void note_shared_lanes(const SharedArray<T>& a, const std::uint64_t* idx,
-                           std::uint64_t elem) {
+    /// Bank-conflict bookkeeping for a shared access by every active lane,
+    /// lane l touching the byte at at(l); gated on prof like
+    /// ThreadCtx::note_shared_access.
+    template <typename At>
+    void note_shared_lanes(At&& at) {
         if (!prof::collecting()) return;
         if (block_ == nullptr || block_->shared_arena.empty()) return;
         const std::byte* base = block_->shared_arena.data();
         for (std::uint32_t m = active_; m != 0; m &= m - 1) {
             const auto l = static_cast<unsigned>(std::countr_zero(m));
-            const std::byte* p = a.base_ + idx[l] * elem;
+            const std::byte* p = at(l);
             if (p < base || p >= base + block_->shared_arena.size()) continue;
             warp_->shared.note((base_tid_ + l) % kWarpSize,
                                static_cast<std::uint64_t>(p - base));
@@ -482,9 +498,13 @@ private:
     std::uint64_t shared_cursor_ = 0;
     unsigned depth_ = 0;
     Frame stack_[kMaxNesting];
+    /// Charges every lane of the warp owes: what charge() and the batched
+    /// accessors book while the whole warp is active. Only a full mask
+    /// lands here, and a mask never becomes full again once a lane has
+    /// exited, so adding it to every lane at the fold is exact.
+    ThreadAcct uniform_;
     /// Contiguous per-lane accounting (the structure-of-arrays lane state):
-    /// the warp-level charge loops stream through it; lane facades alias
-    /// into it.
+    /// divergent charges bit-walk it; lane facades alias into it.
     ThreadAcct accts_[kWarpSize] = {};
     std::uint32_t lane_constructed_ = 0;
     alignas(ThreadCtx) std::byte lane_storage_[sizeof(ThreadCtx) * kWarpSize];

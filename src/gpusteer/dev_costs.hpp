@@ -4,7 +4,10 @@
 // access is free, Table 2.2); the *instruction issue* costs of that math are
 // charged through these helpers so the timing model sees the same mix of
 // FADD/FMAD/compare/rsqrt instructions the real kernel would execute. Every
-// constant maps to a line of the algorithm listings in the thesis.
+// constant maps to a line of the algorithm listings in the thesis. The
+// neighbor-search charges take any context with charge(Op, n) — a thread's
+// ThreadCtx or a warp's WarpCtx, which charges each active lane — so both
+// forms of a kernel charge from one instruction mix.
 #pragma once
 
 #include "cusim/cost_model.hpp"
@@ -16,7 +19,8 @@ namespace gpusteer {
 /// offset = position - s_positions[i] (3 FADD), lengthSquared (3 FMAD),
 /// r*r (1 FMUL), index arithmetic (1 IADD), the combined compare (2 CMP +
 /// 1 logical op). The memory access itself is charged by the container.
-inline void charge_pair_test(cusim::ThreadCtx& ctx) {
+template <typename Ctx>
+void charge_pair_test(Ctx& ctx) {
     ctx.charge(cusim::Op::FAdd, 3);
     ctx.charge(cusim::Op::FMad, 3);
     ctx.charge(cusim::Op::FMul, 1);
@@ -26,14 +30,16 @@ inline void charge_pair_test(cusim::ThreadCtx& ctx) {
 }
 
 /// Appending a neighbor while fewer than 7 are known (listing 5.2).
-inline void charge_neighbor_add(cusim::ThreadCtx& ctx) {
+template <typename Ctx>
+void charge_neighbor_add(Ctx& ctx) {
     ctx.charge(cusim::Op::IAdd, 2);        // store index, bump counter
     ctx.charge(cusim::Op::Register, 2);
 }
 
 /// Replace-farthest path: scan 7 entries for the maximum distance and
 /// conditionally overwrite (listing 5.2 / listing 6.3 else-branch).
-inline void charge_neighbor_replace(cusim::ThreadCtx& ctx) {
+template <typename Ctx>
+void charge_neighbor_replace(Ctx& ctx) {
     ctx.charge(cusim::Op::Compare, 7);
     ctx.charge(cusim::Op::MinMax, 7);
     ctx.charge(cusim::Op::Compare, 1);

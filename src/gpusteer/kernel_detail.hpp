@@ -1,11 +1,13 @@
 // Internals shared by the Boids kernels (brute-force and grid-based): the
-// listing-6.3 candidate test and the device-side flocking combination.
-// Not part of the public API.
+// listing-6.3 candidate test, in thread and warp form, and the device-side
+// flocking combination. Not part of the public API.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <span>
 
+#include "cusim/warp_ctx.hpp"
 #include "gpusteer/dev_costs.hpp"
 #include "gpusteer/kernels.hpp"
 #include "steer/behaviors.hpp"
@@ -16,6 +18,7 @@ namespace gpusteer::detail {
 
 using cusim::Op;
 using cusim::ThreadCtx;
+using cusim::WarpCtx;
 using steer::NeighborList;
 using steer::Vec3;
 
@@ -35,6 +38,51 @@ inline bool offer_candidate(ThreadCtx& ctx, NeighborList& list, std::uint32_t ca
     }
     list.offer(candidate, d2, max_neighbors);
     return true;
+}
+
+/// Warp form of offer_candidate: every active lane l offers `candidate` at
+/// squared distance d2[l] to lists[l]; bit l of `preds` is lane l's
+/// `d2 < r2 && not_me`. Each lane is charged and its two branches noted
+/// exactly as offer_candidate does for its thread, and only the accepting
+/// lanes touch their lists.
+inline void offer_candidate(WarpCtx& w, NeighborList* lists, std::uint32_t candidate,
+                            const float* d2, std::uint32_t preds,
+                            std::uint32_t max_neighbors) {
+    charge_pair_test(w);
+    const std::uint32_t accepted = w.ballot(preds);
+    if (accepted == 0) return;
+    w.push_active(accepted);
+    std::uint32_t room = 0;
+    for (std::uint32_t m = accepted; m != 0; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        room |= std::uint32_t{lists[l].count < max_neighbors} << l;
+    }
+    w.push_active(w.ballot(room));
+    charge_neighbor_add(w);
+    w.else_active();
+    charge_neighbor_replace(w);
+    w.pop_active();
+    for (std::uint32_t m = accepted; m != 0; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        lists[l].offer(candidate, d2[l], max_neighbors);
+    }
+    w.pop_active();
+}
+
+/// Lane-batched read of a device vector: every active lane l reads element
+/// idx[l] into out[l], through each lane's texture path when the host
+/// enabled texture fetches for the vector.
+template <typename T>
+void read_lanes(WarpCtx& w, const cupp::deviceT::vector<T>& v, const std::uint64_t* idx,
+                T* out) {
+    if (v.textured != 0) {
+        for (std::uint32_t m = w.active(); m != 0; m &= m - 1) {
+            const auto l = static_cast<unsigned>(std::countr_zero(m));
+            out[l] = v.read(w.lane(l), idx[l]);
+        }
+        return;
+    }
+    w.read(v.data, idx, out);
 }
 
 /// Gathers the found neighbors' state from global memory, computes the

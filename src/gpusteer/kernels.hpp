@@ -20,6 +20,7 @@
 #include "cupp/vector.hpp"
 #include "cusim/kernel_task.hpp"
 #include "cusim/thread_ctx.hpp"
+#include "cusim/warp_ctx.hpp"
 #include "steer/agent.hpp"
 #include "steer/draw_stage.hpp"
 #include "steer/vec3.hpp"
@@ -97,6 +98,15 @@ cusim::KernelTask ns_shared_kernel(cusim::ThreadCtx& ctx, const DVec3& positions
 cusim::KernelTask sim_kernel(cusim::ThreadCtx& ctx, const DVec3& positions,
                              const DVec3& forwards, DVec3& steerings, FlockParams fp,
                              ThinkMap map, NeighborData mode);
+
+/// The warp-native form of sim_kernel: one call runs a whole warp, with the
+/// thread form's locals held per lane. It charges every lane exactly what
+/// sim_kernel charges that thread, so both forms give the same LaunchStats;
+/// the pair test's charges and the tile's shared reads are booked once per
+/// warp while all of its lanes search.
+cusim::KernelTask sim_kernel_warp(cusim::WarpCtx& w, const DVec3& positions,
+                                  const DVec3& forwards, DVec3& steerings, FlockParams fp,
+                                  ThinkMap map, NeighborData mode);
 
 /// Version 5: the modification substage on the device — applies the
 /// steering vectors to every agent and emits the 4x4 draw matrices (the

@@ -54,7 +54,7 @@ GpuBoidsPlugin::GpuBoidsPlugin(Version version, bool double_buffering, bool with
             (double_buffering ? "-db" : "")),
       ns_kernel_(version == Version::V1_NeighborSearchGlobal ? &ns_global_kernel
                                                              : &ns_shared_kernel),
-      sim_kernel_(&sim_kernel),
+      sim_kernel_(&sim_kernel, &sim_kernel_warp),
       mod_kernel_(&modify_kernel),
       grid_sim_kernel_(&sim_grid_kernel) {
     ns_kernel_.set_block_dim(cusim::dim3{kThreadsPerBlock});

@@ -7,7 +7,10 @@
 #include <cstring>
 
 #include "cupp/cupp.hpp"
+#include "cusim/engine.hpp"
 #include "cusim/registry.hpp"
+#include "cusim/runtime_api.hpp"
+#include "cusim/warp_ctx.hpp"
 
 namespace {
 
@@ -236,6 +239,83 @@ TEST(Kernel, MatchesHandWrittenRuntimeApiLaunch) {
         EXPECT_EQ(static_cast<int>(via_cupp[i]), 7);
         EXPECT_EQ(static_cast<int>(via_rt[i]), 7);
     }
+}
+
+// A kernel in both forms (cusim/warp_ctx.hpp). The forms here write
+// different values, against the contract, so the one that ran is visible.
+KernelTask stamp_kernel(ThreadCtx& ctx, cupp::deviceT::vector<int>& out, int value) {
+    out.write(ctx, ctx.global_id(), value);
+    co_return;
+}
+
+KernelTask stamp_kernel_warp(cusim::WarpCtx& w, cupp::deviceT::vector<int>& out,
+                             int value) {
+    std::uint64_t idx[cusim::kWarpSize]{};
+    int v[cusim::kWarpSize]{};
+    for (unsigned l = 0; l < w.lanes(); ++l) {
+        idx[l] = w.global_id(l);
+        v[l] = value + 1;
+    }
+    w.write(out.data, idx, v);
+    co_return;
+}
+
+TEST(Kernel, TwoFormKernelRunsTheFormTheEngineSelects) {
+    cupp::device d;
+    cupp::kernel k(&stamp_kernel, &stamp_kernel_warp, cusim::dim3{2}, cusim::dim3{64});
+    static_assert(std::is_same_v<decltype(k), cupp::kernel<decltype(&stamp_kernel)>>);
+    cupp::stream s(d);
+    for (const cusim::EngineMode mode : {cusim::EngineMode::Thread, cusim::EngineMode::Warp}) {
+        cusim::set_engine_mode(mode);
+        const int expected = mode == cusim::EngineMode::Warp ? 8 : 7;
+        cupp::vector<int> out(128, 0);
+        k(d, out, 7);
+        for (std::uint64_t i = 0; i < 128; ++i) EXPECT_EQ(static_cast<int>(out[i]), expected);
+        // The stream-bound call enqueues the same two forms.
+        cupp::vector<int> queued(128, 0);
+        k(d, s, queued, 7);
+        s.synchronize();
+        for (std::uint64_t i = 0; i < 128; ++i) {
+            EXPECT_EQ(static_cast<int>(queued[i]), expected);
+        }
+    }
+    // A thread-only kernel object of the same function has no warp form.
+    cupp::kernel thread_only(&stamp_kernel, cusim::dim3{2}, cusim::dim3{64});
+    cupp::vector<int> out(128, 0);
+    thread_only(d, out, 7);
+    EXPECT_EQ(static_cast<int>(out[127]), 7);
+    cusim::clear_engine_mode();
+    EXPECT_EQ(k.last_stats().threads, 128u);
+}
+
+// Registrations live as long as the process, so kernel objects of one
+// function share one: a process that builds kernel objects per request
+// must not register more and more kernels.
+TEST(Kernel, OneFunctionIsRegisteredOnce) {
+    using F = KernelTask (*)(ThreadCtx&, cupp::deviceT::vector<int>&, int);
+    {
+        cupp::kernel thread_form(static_cast<F>(fill_kernel));
+        cupp::kernel both_forms(&stamp_kernel, &stamp_kernel_warp);
+    }
+    const std::size_t registered = cusim::rt::registered_kernel_count();
+    for (int i = 0; i < 100; ++i) {
+        cupp::kernel thread_form(static_cast<F>(fill_kernel));
+        cupp::kernel both_forms(&stamp_kernel, &stamp_kernel_warp);
+    }
+    EXPECT_EQ(cusim::rt::registered_kernel_count(), registered);
+
+    // Kernel objects built from one function still run independently.
+    cupp::device d;
+    cupp::kernel a(static_cast<F>(fill_kernel), cusim::dim3{1}, cusim::dim3{32});
+    cupp::kernel b(static_cast<F>(fill_kernel), cusim::dim3{2}, cusim::dim3{32});
+    cupp::vector<int> out(64, 0);
+    a(d, out, 1);
+    EXPECT_EQ(static_cast<int>(out[31]), 1);
+    EXPECT_EQ(static_cast<int>(out[32]), 0);
+    b(d, out, 2);
+    EXPECT_EQ(static_cast<int>(out[63]), 2);
+    EXPECT_EQ(a.last_stats().threads, 32u);
+    EXPECT_EQ(b.last_stats().threads, 64u);
 }
 
 // Launch failures surface as cupp::kernel_error.

@@ -383,6 +383,134 @@ TEST(WarpEngine, ExitLanesSkipsRetiredLanesInBatchedOps) {
     EXPECT_EQ(stats.useful_bytes_written, 16u * sizeof(std::uint32_t));
 }
 
+// --- broadcast shared reads and the warp-uniform account ---------------------
+// Every thread sums the whole shared tile twice: once with the warp fully
+// active (charges land in the warp-uniform account, reads are broadcasts)
+// and once behind a branch only some lanes take. 80-thread blocks give each
+// block a 16-lane tail warp, whose full mask is partial.
+
+KernelTask tile_sum_thread(ThreadCtx& ctx, DevicePtr<float> in, DevicePtr<float> out) {
+    const unsigned n = static_cast<unsigned>(ctx.block_dim().count());
+    const unsigned tid = ctx.linear_tid();
+    auto tile = ctx.shared_array<float>(n);
+    tile.write(ctx, tid, in.read(ctx, ctx.global_id()));
+    co_await ctx.syncthreads();
+    float sum = 0.0f;
+    for (unsigned i = 0; i < n; ++i) {
+        ctx.charge(Op::FAdd);
+        sum += tile.read(ctx, i);
+    }
+    if (ctx.branch(tid % 3 != 0)) {
+        for (unsigned i = 0; i < n; ++i) {
+            ctx.charge(Op::FMul);
+            sum += 2.0f * tile.read(ctx, i);
+        }
+    }
+    out.write(ctx, ctx.global_id(), sum);
+    co_return;
+}
+
+KernelTask tile_sum_warp(WarpCtx& w, DevicePtr<float> in, DevicePtr<float> out) {
+    const unsigned n = static_cast<unsigned>(w.block_dim().count());
+    std::uint64_t tid[kWarpSize]{};
+    std::uint64_t gid[kWarpSize]{};
+    float v[kWarpSize]{};
+    float sum[kWarpSize]{};
+    std::uint32_t second = 0;
+    for (unsigned l = 0; l < w.lanes(); ++l) {
+        tid[l] = w.lane_tid(l);
+        gid[l] = w.global_id(l);
+        second |= std::uint32_t{tid[l] % 3 != 0} << l;
+    }
+    auto tile = w.shared_array<float>(n);
+    w.read(in, gid, v);
+    w.write(tile, tid, v);
+    co_await w.syncthreads();
+    for (unsigned i = 0; i < n; ++i) {
+        w.charge(Op::FAdd);
+        const float x = w.read_broadcast(tile, i);
+        for (unsigned l = 0; l < w.lanes(); ++l) sum[l] += x;
+    }
+    w.push_active(w.ballot(second));
+    for (unsigned i = 0; i < n; ++i) {
+        w.charge(Op::FMul);
+        const float x = w.read_broadcast(tile, i);
+        for (std::uint32_t m = w.active(); m != 0; m &= m - 1) {
+            sum[std::countr_zero(m)] += 2.0f * x;
+        }
+    }
+    w.pop_active();
+    w.write(out, gid, sum);
+    co_return;
+}
+
+TEST(WarpEngine, BroadcastSharedReadsMatchThreadEngine) {
+    for (const bool prof_on : {false, true}) {
+        if (prof_on) prof::enable();
+        std::vector<float> host_w, host_t;
+        LaunchStats st_w, st_t;
+        for (const EngineMode mode : {EngineMode::Warp, EngineMode::Thread}) {
+            EngineGuard guard(mode);
+            Device dev(tiny_properties());
+            const std::uint64_t n = 3 * 80;
+            auto in = dev.malloc_n<float>(n);
+            auto out = dev.malloc_n<float>(n);
+            std::vector<float> seed(n);
+            for (std::uint64_t i = 0; i < n; ++i) seed[i] = 0.25f * static_cast<float>(i % 17);
+            dev.upload(in, std::span<const float>(seed));
+            LaunchConfig cfg{dim3{3}, dim3{80}, 80 * sizeof(float)};
+            KernelSpec spec([&](ThreadCtx& ctx) { return tile_sum_thread(ctx, in, out); },
+                            [&](WarpCtx& w) { return tile_sum_warp(w, in, out); });
+            const LaunchStats stats = dev.launch(cfg, spec, "tile_sum");
+            std::vector<float> host(n);
+            dev.download(std::span<float>(host), out);
+            (mode == EngineMode::Warp ? host_w : host_t) = std::move(host);
+            (mode == EngineMode::Warp ? st_w : st_t) = stats;
+        }
+        if (prof_on) prof::reset();
+        EXPECT_EQ(host_w, host_t) << "prof " << prof_on;
+        expect_stats_eq(st_w, st_t);
+        // Per block: 80 writes, 80 * 80 full-warp reads, and 53 threads
+        // (tid % 3 != 0) * 80 reads behind the branch.
+        EXPECT_EQ(st_w.shared_accesses, prof_on ? 3u * (80 + 80 * 80 + 80 * 53) : 0u);
+    }
+}
+
+TEST(WarpEngine, OutOfRangeBroadcastReadMessageMatchesThreadEngine) {
+    std::string msg_w, msg_t;
+    for (const EngineMode mode : {EngineMode::Warp, EngineMode::Thread}) {
+        EngineGuard guard(mode);
+        Device dev(tiny_properties());
+        LaunchConfig cfg{dim3{1}, dim3{64}, 64 * sizeof(float)};
+        KernelSpec spec(
+            [&](ThreadCtx& ctx) -> KernelTask {
+                auto tile = ctx.shared_array<float>(64);
+                if (ctx.branch(ctx.linear_tid() >= 40)) (void)tile.read(ctx, 64);
+                co_return;
+            },
+            [&](WarpCtx& w) -> KernelTask {
+                auto tile = w.shared_array<float>(64);
+                std::uint32_t late = 0;
+                for (unsigned l = 0; l < w.lanes(); ++l) {
+                    late |= std::uint32_t{w.lane_tid(l) >= 40} << l;
+                }
+                // Warp 0 reads with no lane active, which must not throw.
+                w.push_active(w.ballot(late));
+                (void)w.read_broadcast(tile, 64);
+                w.pop_active();
+                co_return;
+            });
+        try {
+            dev.launch(cfg, spec, "oob_broadcast");
+            FAIL() << "out-of-range shared read did not throw";
+        } catch (const Error& e) {
+            (mode == EngineMode::Warp ? msg_w : msg_t) = e.what();
+        }
+    }
+    EXPECT_EQ(msg_w, msg_t);
+    EXPECT_NE(msg_w.find("thread (40,0,0)"), std::string::npos) << msg_w;
+}
+
 // --- memcheck parity --------------------------------------------------------
 
 TEST(WarpEngine, MemcheckStrictMessageMatchesThreadEngine) {

@@ -7,6 +7,9 @@
 #include "cusim/block_pool.hpp"
 #include "cusim/engine.hpp"
 #include "cusim/faults.hpp"
+#include "cusim/memcheck.hpp"
+#include "cusim/prof.hpp"
+#include "cusim/runtime_api.hpp"
 #include "gpusteer/plugin.hpp"
 #include "steer/steer.hpp"
 
@@ -360,27 +363,183 @@ TEST(GpuPlugin, ParallelEngineKeepsTheFlockBitIdentical) {
     expect_same_flock(run_flock(8), serial, "8 engine threads");
 }
 
-// The engine selection must be flock-invariant too: gpusteer's kernels are
-// per-thread (no warp form), so under CUPP_SIM_ENGINE=warp they run the
-// identical classic interpreter — pinning that down here keeps the
-// dual-form dispatch honest about its fallback path.
+// Engine parity on the real workload. The simulation substage (V3/V4/V5)
+// has a warp form, so under EngineMode::Warp it runs once per warp while the
+// other Boids kernels keep their thread form. Every launch's LaunchStats and
+// the flock must match the thread engine exactly, for one and for eight
+// engine threads: full warps (think period 1) and partly idle ones (period
+// 3), two flock sizes, and with the profiler's bank-conflict counts on.
+struct EngineRun {
+    std::vector<Agent> flock;
+    std::vector<cusim::LaunchRecord> launches;
+};
+
+EngineRun run_engine(Version version, const WorldSpec& spec, cusim::EngineMode mode,
+                     unsigned threads) {
+    cusim::set_engine_mode(mode);
+    cusim::BlockPool::set_threads(threads);
+    GpuBoidsPlugin gpu(version);
+    gpu.open(spec);
+    for (int step = 0; step < 3; ++step) gpu.step();
+    EngineRun run;
+    run.flock = gpu.snapshot();
+    // This plugin's launches: the tail of its device's launch history.
+    run.launches = gpu.device_handle().sim().recent_launches();
+    run.launches.erase(run.launches.begin(),
+                       run.launches.end() - static_cast<std::ptrdiff_t>(gpu.kernel_launches()));
+    cusim::BlockPool::set_threads(0);
+    cusim::clear_engine_mode();
+    return run;
+}
+
+void expect_same_run(const EngineRun& a, const EngineRun& b, const std::string& what) {
+    ASSERT_EQ(a.flock.size(), b.flock.size()) << what;
+    for (std::size_t i = 0; i < a.flock.size(); ++i) {
+        EXPECT_EQ(a.flock[i].position, b.flock[i].position) << what << " agent " << i;
+        EXPECT_EQ(a.flock[i].forward, b.flock[i].forward) << what << " agent " << i;
+        EXPECT_EQ(a.flock[i].speed, b.flock[i].speed) << what << " agent " << i;
+    }
+    ASSERT_EQ(a.launches.size(), b.launches.size()) << what;
+    for (std::size_t i = 0; i < a.launches.size(); ++i) {
+        const std::string at = what + " launch " + std::to_string(i) + " (" +
+                               a.launches[i].kernel_name + ")";
+        const cusim::LaunchStats& x = a.launches[i].stats;
+        const cusim::LaunchStats& y = b.launches[i].stats;
+        EXPECT_EQ(a.launches[i].kernel_name, b.launches[i].kernel_name) << at;
+        EXPECT_EQ(x.blocks, y.blocks) << at;
+        EXPECT_EQ(x.warps, y.warps) << at;
+        EXPECT_EQ(x.threads, y.threads) << at;
+        EXPECT_EQ(x.threads_per_block, y.threads_per_block) << at;
+        EXPECT_EQ(x.compute_cycles, y.compute_cycles) << at;
+        EXPECT_EQ(x.stall_cycles, y.stall_cycles) << at;
+        EXPECT_EQ(x.bytes_read, y.bytes_read) << at;
+        EXPECT_EQ(x.bytes_written, y.bytes_written) << at;
+        EXPECT_EQ(x.useful_bytes_read, y.useful_bytes_read) << at;
+        EXPECT_EQ(x.useful_bytes_written, y.useful_bytes_written) << at;
+        EXPECT_EQ(x.divergent_events, y.divergent_events) << at;
+        EXPECT_EQ(x.branch_evaluations, y.branch_evaluations) << at;
+        EXPECT_EQ(x.shared_accesses, y.shared_accesses) << at;
+        EXPECT_EQ(x.shared_bank_conflicts, y.shared_bank_conflicts) << at;
+        EXPECT_EQ(x.syncthreads_count, y.syncthreads_count) << at;
+        EXPECT_EQ(x.resident_blocks_per_mp, y.resident_blocks_per_mp) << at;
+        EXPECT_EQ(x.device_seconds, y.device_seconds) << at;
+    }
+}
+
 TEST(GpuPlugin, WarpEngineModeKeepsTheFlockBitIdentical) {
-    const WorldSpec spec = small_world();
-    auto run_flock = [&](cusim::EngineMode mode, unsigned threads) {
-        cusim::set_engine_mode(mode);
-        cusim::BlockPool::set_threads(threads);
-        GpuBoidsPlugin gpu(Version::V5_FullUpdateOnDevice);
-        gpu.open(spec);
-        for (int step = 0; step < 5; ++step) gpu.step();
-        auto flock = gpu.snapshot();
-        cusim::BlockPool::set_threads(0);
-        cusim::clear_engine_mode();
-        return flock;
+    for (const bool prof : {false, true}) {
+        if (prof) cusim::prof::enable();
+        for (const Version version :
+             {Version::V3_SimSubstageCached, Version::V4_SimSubstageRecompute,
+              Version::V5_FullUpdateOnDevice}) {
+            for (const std::uint32_t agents : {256u, 384u}) {
+                for (const std::uint32_t think : {1u, 3u}) {
+                    const WorldSpec spec = small_world(agents, think);
+                    const std::string what =
+                        "v" + std::to_string(static_cast<int>(version)) + " " +
+                        std::to_string(agents) + " agents, think " + std::to_string(think) +
+                        (prof ? ", prof" : "");
+                    const EngineRun oracle =
+                        run_engine(version, spec, cusim::EngineMode::Thread, 1);
+                    if (prof) {
+                        ASSERT_GT(oracle.launches.front().stats.shared_accesses, 0u) << what;
+                    }
+                    expect_same_run(run_engine(version, spec, cusim::EngineMode::Warp, 1),
+                                    oracle, what + ", warp serial");
+                    expect_same_run(run_engine(version, spec, cusim::EngineMode::Warp, 8),
+                                    oracle, what + ", warp + 8 engine threads");
+                }
+            }
+        }
+        if (prof) cusim::prof::reset();
+    }
+}
+
+// With memcheck on, the warp form routes every access through the lane
+// facades: the run stays bit-identical and the (empty) report matches.
+TEST(GpuPlugin, WarpEngineModeKeepsMemcheckReportsIdentical) {
+    const WorldSpec spec = small_world(256, 3);
+    const auto checked_run = [&](cusim::EngineMode mode, unsigned threads,
+                                 std::string& report) {
+        cusim::memcheck::reset();
+        cusim::memcheck::enable();
+        EngineRun run = run_engine(Version::V5_FullUpdateOnDevice, spec, mode, threads);
+        cusim::memcheck::disable();
+        EXPECT_EQ(cusim::memcheck::total_violations(), 0u);
+        report = cusim::memcheck::report_json();
+        return run;
     };
-    const auto serial = run_flock(cusim::EngineMode::Thread, 1);
-    expect_same_flock(run_flock(cusim::EngineMode::Warp, 1), serial, "warp serial");
-    expect_same_flock(run_flock(cusim::EngineMode::Warp, 8), serial,
-                      "warp + 8 engine threads");
+    std::string oracle_report;
+    std::string report;
+    const EngineRun oracle = checked_run(cusim::EngineMode::Thread, 1, oracle_report);
+    expect_same_run(checked_run(cusim::EngineMode::Warp, 1, report), oracle,
+                    "memcheck, warp serial");
+    EXPECT_EQ(report, oracle_report);
+    expect_same_run(checked_run(cusim::EngineMode::Warp, 8, report), oracle,
+                    "memcheck, warp + 8 engine threads");
+    EXPECT_EQ(report, oracle_report);
+    cusim::memcheck::reset();
+}
+
+// The simulation substage called directly through its two-form
+// cupp::kernel, with texture fetches on for the read-only vectors: the warp
+// form reads them through each lane's texture path, so stats and steering
+// still match the thread form.
+TEST(GpuPlugin, WarpFormMatchesThreadFormWithTextureFetches) {
+    const WorldSpec spec = small_world(256, 3);
+    const auto flock = steer::make_flock(spec);
+    const gpusteer::FlockParams fp{spec.search_radius, spec.weight_separation,
+                                   spec.weight_alignment, spec.weight_cohesion,
+                                   spec.max_neighbors};
+    const gpusteer::ThinkMap map{1, 3};
+    cupp::device d;
+    cupp::kernel k(&gpusteer::sim_kernel, &gpusteer::sim_kernel_warp, cusim::dim3{1},
+                   cusim::dim3{gpusteer::kThreadsPerBlock});
+    k.set_shared_bytes(gpusteer::kThreadsPerBlock * sizeof(steer::Vec3));
+    cusim::LaunchStats stats[2];
+    std::vector<steer::Vec3> steerings[2];
+    for (const cusim::EngineMode mode : {cusim::EngineMode::Thread, cusim::EngineMode::Warp}) {
+        cupp::vector<steer::Vec3> positions;
+        cupp::vector<steer::Vec3> forwards;
+        for (const Agent& a : flock) {
+            positions.push_back(a.position);
+            forwards.push_back(a.forward);
+        }
+        positions.set_texture_fetches(true);
+        forwards.set_texture_fetches(true);
+        cupp::vector<steer::Vec3> out(spec.agents, steer::kZero);
+        cusim::set_engine_mode(mode);
+        k(d, positions, forwards, out, fp, map, gpusteer::NeighborData::Recompute);
+        cusim::clear_engine_mode();
+        const bool warp = mode == cusim::EngineMode::Warp;
+        stats[warp] = k.last_stats();
+        steerings[warp] = out.snapshot();
+    }
+    EXPECT_EQ(steerings[1], steerings[0]);
+    EXPECT_EQ(stats[1].compute_cycles, stats[0].compute_cycles);
+    EXPECT_EQ(stats[1].stall_cycles, stats[0].stall_cycles);
+    EXPECT_EQ(stats[1].bytes_read, stats[0].bytes_read);
+    EXPECT_EQ(stats[1].useful_bytes_read, stats[0].useful_bytes_read);
+    EXPECT_EQ(stats[1].bytes_written, stats[0].bytes_written);
+    EXPECT_EQ(stats[1].divergent_events, stats[0].divergent_events);
+    EXPECT_EQ(stats[1].branch_evaluations, stats[0].branch_evaluations);
+    EXPECT_EQ(stats[1].device_seconds, stats[0].device_seconds);
+}
+
+// A kernel function is registered once however many kernel objects wrap
+// it: registrations live as long as the process, and cupp::serve builds a
+// plugin, so four kernel objects, for every request.
+TEST(GpuPlugin, PluginsOfOneVersionShareTheirKernelRegistrations) {
+    {
+        GpuBoidsPlugin global(Version::V1_NeighborSearchGlobal);
+        GpuBoidsPlugin shared(Version::V5_FullUpdateOnDevice);
+    }
+    const std::size_t registered = cusim::rt::registered_kernel_count();
+    for (int i = 0; i < 50; ++i) {
+        GpuBoidsPlugin gpu(i % 2 == 0 ? Version::V5_FullUpdateOnDevice
+                                      : Version::V1_NeighborSearchGlobal);
+    }
+    EXPECT_EQ(cusim::rt::registered_kernel_count(), registered);
 }
 
 TEST(GpuPlugin, VersionTraitsMatchTable6_1) {
