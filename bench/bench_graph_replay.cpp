@@ -17,8 +17,9 @@
 //   --timeline additionally runs the 64-node chain once eagerly and once
 //   via replay on fresh devices with the timeline recorder armed and
 //   writes <prefix>.eager.json / <prefix>.replay.json — the device-side
-//   schedule must diff clean (cupp_timeline --diff --threshold 0): replay
-//   changes when the host is busy, never what the device executes.
+//   schedule must diff clean (cupp_report timeline --diff --threshold 0
+//   --device-only): replay changes when the host is busy, never what the
+//   device executes.
 #include <chrono>
 #include <cstdio>
 #include <cstring>

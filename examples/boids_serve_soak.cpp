@@ -22,7 +22,7 @@
 //   * the books balance: submitted == completed + rejected + expired.
 //
 // Run it under CUPP_MEMCHECK / CUPP_TRACE and the exported artifacts feed
-// memcheck_check --require-clean and trace_check
+// cupp_report memcheck --require-clean and cupp_report trace
 // --require-counters=cupp.serve (see tests/CMakeLists.txt).
 #include <cstdio>
 #include <cstdlib>

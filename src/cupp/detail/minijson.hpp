@@ -3,7 +3,7 @@
 // Deliberately tiny: enough of RFC 8259 to parse what trace.cpp emits
 // (objects, arrays, strings with the common escapes, numbers, booleans,
 // null) and to re-serialise it for round-trip checks. Used by the trace
-// unit test and the `trace_check` CI tool — not a general-purpose JSON
+// unit test and the `cupp_report` tool — not a general-purpose JSON
 // library.
 #pragma once
 

@@ -38,13 +38,14 @@ public:
     /// Linear allocation (constant memory is declared statically in CUDA;
     /// there is no free()).
     [[nodiscard]] DeviceAddr allocate(std::uint64_t bytes) {
-        const std::uint64_t aligned = (bytes + 255) / 256 * 256;
-        if (cursor_ + aligned > kSize) {
+        // Checked before rounding up, which would wrap near 2^64. The cursor
+        // and kSize are multiples of 256, so the rounded size fits as well.
+        if (bytes > kSize - cursor_) {
             throw Error(ErrorCode::MemoryAllocation,
                         "constant memory exhausted (64 KiB total)");
         }
         const DeviceAddr addr = cursor_;
-        cursor_ += aligned;
+        cursor_ += (bytes + 255) / 256 * 256;
         return addr;
     }
 
@@ -66,7 +67,7 @@ public:
 
 private:
     void check(DeviceAddr addr, std::uint64_t bytes) const {
-        if (addr + bytes > cursor_) {
+        if (addr > cursor_ || bytes > cursor_ - addr) {
             throw Error(ErrorCode::InvalidDevicePointer,
                         "constant-memory access outside any allocation");
         }

@@ -108,10 +108,10 @@ public:
         std::uint64_t count,
         std::source_location loc = std::source_location::current(),
         const char* label = "cusim::Device::malloc_n") {
-        prof::ApiScope prof_scope(prof::Api::Malloc, trace_ordinal_, 0,
-                                  count * sizeof(T), label);
+        const std::uint64_t bytes = size_bytes<T>(count);
+        prof::ApiScope prof_scope(prof::Api::Malloc, trace_ordinal_, 0, bytes, label);
         fault_preflight(faults::Site::Malloc, label);
-        const DeviceAddr addr = memory_.allocate(count * sizeof(T), loc, label);
+        const DeviceAddr addr = memory_.allocate(bytes, loc, label);
         return DevicePtr<T>(memory_.raw(addr), addr, count, memory_.shadow().alloc_id(addr));
     }
 
@@ -128,7 +128,7 @@ public:
     /// Re-creates a typed view over an existing allocation (validated).
     template <typename T>
     [[nodiscard]] DevicePtr<T> view(DeviceAddr addr, std::uint64_t count) {
-        if (!memory_.range_valid(addr, count * sizeof(T))) {
+        if (!memory_.range_valid(addr, size_bytes<T>(count))) {
             throw Error(ErrorCode::InvalidDevicePointer, "view outside any allocation");
         }
         return DevicePtr<T>(memory_.raw(addr), addr, count, memory_.shadow().alloc_id(addr));
@@ -170,7 +170,7 @@ public:
     /// Allocates `count` elements in the 64 KiB constant space.
     template <typename T>
     [[nodiscard]] ConstantPtr<T> malloc_constant(std::uint64_t count) {
-        const DeviceAddr addr = constant_.allocate(count * sizeof(T));
+        const DeviceAddr addr = constant_.allocate(size_bytes<T>(count));
         return ConstantPtr<T>(constant_.raw(addr), addr, count);
     }
 
@@ -378,6 +378,14 @@ public:
     }
 
 private:
+    /// The byte size of `count` elements of T, saturated at 2^64 - 1 so that
+    /// an oversized count stays oversized instead of wrapping to a small size.
+    template <typename T>
+    static std::uint64_t size_bytes(std::uint64_t count) {
+        constexpr std::uint64_t kMax = ~std::uint64_t{0};
+        return count > kMax / sizeof(T) ? kMax : count * sizeof(T);
+    }
+
     /// One relaxed atomic load when no faults are armed and no device was
     /// ever poisoned — the whole cost of the instrumentation by default.
     void fault_preflight(faults::Site site, std::string_view label = {}) {

@@ -1,5 +1,6 @@
 #include "cusim/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -7,6 +8,9 @@
 #include <new>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "cupp/trace.hpp"
 #include "cusim/error.hpp"
@@ -29,17 +33,18 @@ void FrameCache::flush_metrics() {
 
 }  // namespace detail
 
-// Declaration order matters for teardown: tasks are destroyed before ctxs
-// (members die in reverse order), so a suspended coroutine frame never
-// outlives the ThreadCtx it references. Same for the warp engine's wtasks
-// relative to wctxs.
 struct BlockScratch::State {
-    std::vector<std::unique_ptr<ThreadCtx>> ctxs;
-    std::vector<KernelTask> tasks;
-    std::vector<bool> finished;
-    std::vector<std::unique_ptr<WarpCtx>> wctxs;
-    std::vector<KernelTask> wtasks;
-    std::vector<bool> wfinished;
+    /// One engine's units (threads, or warps) and their coroutines.
+    /// Declaration order matters for teardown: tasks are destroyed before
+    /// ctxs (members die in reverse order), so a suspended coroutine frame
+    /// never outlives the context it references.
+    template <typename Ctx>
+    struct Units {
+        std::vector<std::unique_ptr<Ctx>> ctxs;
+        std::vector<KernelTask> tasks;
+        std::vector<bool> finished;
+    };
+    std::tuple<Units<ThreadCtx>, Units<WarpCtx>> units;
     BlockState block;
 };
 
@@ -93,11 +98,33 @@ void set_engine_mode(EngineMode mode) {
 
 void clear_engine_mode() { g_engine_override.store(-1, std::memory_order_relaxed); }
 
-BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
-                      const KernelEntry& entry, uint3 block_idx,
+namespace {
+
+/// Constructs unit `u`'s context, in place over the previous block's when
+/// the scratch has one (contexts are not assignable).
+template <typename Ctx, typename... Args>
+Ctx& emplace_ctx(std::vector<std::unique_ptr<Ctx>>& ctxs, unsigned u, Args&&... args) {
+    if (u < ctxs.size()) {
+        Ctx* p = ctxs[u].get();
+        p->~Ctx();
+        return *new (p) Ctx(std::forward<Args>(args)...);
+    }
+    return *ctxs.emplace_back(std::make_unique<Ctx>(std::forward<Args>(args)...));
+}
+
+/// The block loop of both engines. A unit is one coroutine: a thread
+/// (ThreadCtx, driven as a one-lane warp) or a warp (WarpCtx). Each epoch
+/// resumes every unfinished unit once; lane bookkeeping is popcount
+/// arithmetic over the units' live and at-barrier masks, so the
+/// divergent-barrier diagnostic counts threads under either engine.
+template <typename Ctx>
+BlockResult run_units(const CostModel& cm, const LaunchConfig& cfg,
+                      const std::function<KernelTask(Ctx&)>& entry, uint3 block_idx,
                       const memcheck::ExecContext* exec, const RunBlockOpts& opts) {
+    constexpr bool kWarps = std::is_same_v<Ctx, WarpCtx>;
     const unsigned nthreads = static_cast<unsigned>(cfg.block.count());
     const unsigned nwarps = cfg.warps_per_block();
+    const unsigned nunits = kWarps ? nwarps : nthreads;
 
     BlockResult result;
     result.warps.resize(nwarps);
@@ -109,6 +136,7 @@ BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
     if (opts.scratch == nullptr) local = std::make_unique<BlockScratch>();
     BlockScratch::State& s =
         *(opts.scratch != nullptr ? opts.scratch : local.get())->state;
+    auto& [ctxs, tasks, finished] = std::get<BlockScratch::State::Units<Ctx>>(s.units);
 
     BlockState& block_state = s.block;
     block_state.shared_arena.assign(cfg.shared_bytes, std::byte{0});
@@ -119,60 +147,48 @@ BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
     // Tear down the previous block's coroutines before their contexts are
     // reconstructed underneath them (frames recycle through the
     // thread-local cache in kernel_task.hpp, so this is cheap).
-    s.tasks.clear();
-    s.tasks.reserve(nthreads);
-    if (s.ctxs.size() > nthreads) s.ctxs.resize(nthreads);
-
-    // Build contexts and coroutines (created suspended).
-    for (unsigned tid = 0; tid < nthreads; ++tid) {
-        if (tid < s.ctxs.size()) {
-            // Reuse the existing allocation: ThreadCtx is not assignable
-            // (const-ish identity members), so destroy + construct in place.
-            ThreadCtx* p = s.ctxs[tid].get();
-            p->~ThreadCtx();
-            new (p) ThreadCtx(unlinearize_thread(tid, cfg.block), block_idx, cfg.block,
-                              cfg.grid, &cm, &block_state,
-                              &result.warps[tid / kWarpSize], exec);
+    tasks.clear();
+    tasks.reserve(nunits);
+    if (ctxs.size() > nunits) ctxs.resize(nunits);
+    for (unsigned u = 0; u < nunits; ++u) {
+        if constexpr (kWarps) {
+            const unsigned base = u * kWarpSize;
+            tasks.push_back(entry(emplace_ctx(
+                ctxs, u, base, std::min(nthreads - base, kWarpSize), block_idx,
+                cfg.block, cfg.grid, &cm, &block_state, &result.warps[u], exec)));
         } else {
-            s.ctxs.push_back(std::make_unique<ThreadCtx>(
-                unlinearize_thread(tid, cfg.block), block_idx, cfg.block, cfg.grid, &cm,
-                &block_state, &result.warps[tid / kWarpSize], exec));
+            tasks.push_back(entry(emplace_ctx(
+                ctxs, u, unlinearize_thread(u, cfg.block), block_idx, cfg.block,
+                cfg.grid, &cm, &block_state, &result.warps[u / kWarpSize], exec)));
         }
-        s.tasks.push_back(entry(*s.ctxs[tid]));
     }
+    finished.assign(nunits, false);
 
-    s.finished.assign(nthreads, false);
-    std::vector<std::unique_ptr<ThreadCtx>>& ctxs = s.ctxs;
-    std::vector<KernelTask>& tasks = s.tasks;
-    std::vector<bool>& finished = s.finished;
-    unsigned live = nthreads;
-
+    unsigned live = nthreads;  // lanes not yet finished, across all units
     while (live > 0) {
         unsigned at_barrier = 0;
         unsigned finished_this_epoch = 0;
-        for (unsigned tid = 0; tid < nthreads; ++tid) {
-            if (finished[tid] || ctxs[tid]->at_barrier()) {
-                at_barrier += ctxs[tid]->at_barrier() ? 1u : 0u;
-                continue;
-            }
-            tasks[tid].resume();
-            if (auto ep = tasks[tid].exception()) rethrow_as_launch_failure(ep);
-            if (tasks[tid].done()) {
-                finished[tid] = true;
-                --live;
-                ++finished_this_epoch;
-                // SIMD fold into the warp: cycles at the pace of the slowest
-                // lane, traffic summed over lanes.
-                WarpAcct& w = ctxs[tid]->warp();
-                const ThreadAcct& a = ctxs[tid]->acct();
-                if (a.compute_cycles > w.compute_cycles) w.compute_cycles = a.compute_cycles;
-                if (a.stall_cycles > w.stall_cycles) w.stall_cycles = a.stall_cycles;
-                w.bytes_read += a.bytes_read;
-                w.bytes_written += a.bytes_written;
-                w.useful_bytes_read += a.useful_bytes_read;
-                w.useful_bytes_written += a.useful_bytes_written;
+        for (unsigned u = 0; u < nunits; ++u) {
+            if (finished[u]) continue;
+            Ctx& ctx = *ctxs[u];
+            const auto lanes_before = static_cast<unsigned>(std::popcount(ctx.live()));
+            tasks[u].resume();
+            if (auto ep = tasks[u].exception()) rethrow_as_launch_failure(ep);
+            if (tasks[u].done() || ctx.live() == 0) {
+                // The unit retired: either the body ran to completion or
+                // every lane exited via exit_lanes(). All lanes that were
+                // still live when this epoch started finish here.
+                finished[u] = true;
+                ctx.fold_into_warp_acct();
+                finished_this_epoch += lanes_before;
+                live -= lanes_before;
             } else {
-                ++at_barrier;
+                // Suspended at a barrier. Lanes that exited mid-epoch via
+                // exit_lanes() finished without arriving at it.
+                const auto lanes_now = static_cast<unsigned>(std::popcount(ctx.live()));
+                finished_this_epoch += lanes_before - lanes_now;
+                live -= lanes_before - lanes_now;
+                at_barrier += static_cast<unsigned>(std::popcount(ctx.at_barrier_mask()));
             }
         }
         if (at_barrier > 0 && (finished_this_epoch > 0 || at_barrier != live)) {
@@ -196,116 +212,15 @@ BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
     return result;
 }
 
-namespace {
-
-/// The warp-vectorized block loop: one coroutine per warp, resumed once per
-/// epoch. Lane bookkeeping is popcount arithmetic over the warps' live and
-/// at-barrier masks, arranged so the divergent-barrier diagnostic carries
-/// the exact thread counts (and message) the per-thread loop produces.
-BlockResult run_block_warp(const CostModel& cm, const LaunchConfig& cfg,
-                           const WarpKernelEntry& entry, uint3 block_idx,
-                           const memcheck::ExecContext* exec, const RunBlockOpts& opts) {
-    const unsigned nthreads = static_cast<unsigned>(cfg.block.count());
-    const unsigned nwarps = cfg.warps_per_block();
-
-    BlockResult result;
-    result.warps.resize(nwarps);
-
-    std::unique_ptr<BlockScratch> local;
-    if (opts.scratch == nullptr) local = std::make_unique<BlockScratch>();
-    BlockScratch::State& s =
-        *(opts.scratch != nullptr ? opts.scratch : local.get())->state;
-
-    BlockState& block_state = s.block;
-    block_state.shared_arena.assign(cfg.shared_bytes, std::byte{0});
-    block_state.sync_episodes = 0;
-    block_state.shared_shadow.reset();
-    block_state.violation_sink = opts.violation_sink;
-
-    // Tear down the previous block's warp coroutines before their contexts
-    // are reconstructed underneath them.
-    s.wtasks.clear();
-    s.wtasks.reserve(nwarps);
-    if (s.wctxs.size() > nwarps) s.wctxs.resize(nwarps);
-
-    for (unsigned w = 0; w < nwarps; ++w) {
-        const unsigned base = w * kWarpSize;
-        const unsigned nlanes =
-            nthreads - base < kWarpSize ? nthreads - base : kWarpSize;
-        if (w < s.wctxs.size()) {
-            WarpCtx* p = s.wctxs[w].get();
-            p->~WarpCtx();
-            new (p) WarpCtx(base, nlanes, block_idx, cfg.block, cfg.grid, &cm,
-                            &block_state, &result.warps[w], exec);
-        } else {
-            s.wctxs.push_back(std::make_unique<WarpCtx>(
-                base, nlanes, block_idx, cfg.block, cfg.grid, &cm, &block_state,
-                &result.warps[w], exec));
-        }
-        s.wtasks.push_back(entry(*s.wctxs[w]));
-    }
-
-    s.wfinished.assign(nwarps, false);
-    std::vector<std::unique_ptr<WarpCtx>>& wctxs = s.wctxs;
-    std::vector<KernelTask>& wtasks = s.wtasks;
-    std::vector<bool>& wfinished = s.wfinished;
-    unsigned live = nthreads;  // lanes not yet finished, across all warps
-
-    while (live > 0) {
-        unsigned at_barrier = 0;
-        unsigned finished_this_epoch = 0;
-        for (unsigned w = 0; w < nwarps; ++w) {
-            if (wfinished[w]) continue;
-            WarpCtx& wc = *wctxs[w];
-            const auto lanes_before =
-                static_cast<unsigned>(std::popcount(wc.live()));
-            wtasks[w].resume();
-            if (auto ep = wtasks[w].exception()) rethrow_as_launch_failure(ep);
-            if (wtasks[w].done() || wc.live() == 0) {
-                // The warp retired: either the body ran to completion or
-                // every lane exited via exit_lanes(). All lanes that were
-                // still live when this epoch started finish here.
-                wfinished[w] = true;
-                wc.fold_into_warp_acct();
-                finished_this_epoch += lanes_before;
-                live -= lanes_before;
-            } else {
-                // Suspended at a barrier. Lanes that exited mid-epoch via
-                // exit_lanes() finished without arriving at it.
-                const auto lanes_now =
-                    static_cast<unsigned>(std::popcount(wc.live()));
-                finished_this_epoch += lanes_before - lanes_now;
-                live -= lanes_before - lanes_now;
-                at_barrier += static_cast<unsigned>(std::popcount(wc.at_barrier_mask()));
-            }
-        }
-        if (at_barrier > 0 && (finished_this_epoch > 0 || at_barrier != live)) {
-            // Same diagnosis — and byte-identical message — as the
-            // per-thread loop above: X lanes arrived, Y were obliged to.
-            throw Error(ErrorCode::LaunchFailure,
-                        "__syncthreads() reached by " + std::to_string(at_barrier) +
-                            " of " + std::to_string(live + finished_this_epoch) +
-                            " threads (divergent barrier)");
-        }
-        if (live == 0) break;
-        for (auto& wc : wctxs) wc->clear_barrier();
-        ++block_state.sync_episodes;
-    }
-
-    result.sync_episodes = block_state.sync_episodes;
-    block_state.violation_sink = nullptr;
-    return result;
-}
-
 }  // namespace
 
 BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
                       const KernelSpec& spec, uint3 block_idx,
                       const memcheck::ExecContext* exec, const RunBlockOpts& opts) {
     if (spec.warp && engine_mode() == EngineMode::Warp) {
-        return run_block_warp(cm, cfg, spec.warp, block_idx, exec, opts);
+        return run_units(cm, cfg, spec.warp, block_idx, exec, opts);
     }
-    return run_block(cm, cfg, spec.thread, block_idx, exec, opts);
+    return run_units(cm, cfg, spec.thread, block_idx, exec, opts);
 }
 
 }  // namespace cusim

@@ -1,12 +1,13 @@
 // The block execution engine.
 //
-// Executes one thread block functionally: every device thread is a coroutine
-// that runs until it either finishes or suspends at __syncthreads(). The
-// engine drives threads in rounds ("epochs"): one epoch ends when every live
-// thread sits at the barrier, which is then released collectively. A block
-// whose threads disagree about the barrier (some finished, some waiting) is
-// the CUDA-undefined divergent-__syncthreads case; the engine turns it into
-// a LaunchFailure instead of hanging.
+// Executes one thread block functionally: every device thread (or, in the
+// warp engine, every warp) is a coroutine that runs until it either finishes
+// or suspends at __syncthreads(). The engine drives them in rounds
+// ("epochs"): one epoch ends when every live thread sits at the barrier,
+// which is then released collectively. A block whose threads disagree about
+// the barrier (some finished, some waiting) is the CUDA-undefined
+// divergent-__syncthreads case; the engine turns it into a LaunchFailure
+// instead of hanging.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +24,8 @@ namespace cusim {
 /// Which interpreter executes a block when a kernel provides both forms of
 /// a KernelSpec. Selected by CUPP_SIM_ENGINE=warp|thread (default: warp;
 /// anything else falls back to warp) with a programmatic override for
-/// differential tests. Kernels that only have a per-thread form run the
-/// classic coroutine-per-thread engine in either mode — the thread path is
-/// retained verbatim as the differential oracle.
+/// differential tests. Kernels that only have a per-thread form run it in
+/// either mode; the thread form is the warp form's differential oracle.
 enum class EngineMode { Thread, Warp };
 
 /// The effective engine mode: the override when set, else CUPP_SIM_ENGINE.
@@ -41,8 +41,8 @@ struct BlockResult {
     std::uint64_t sync_episodes = 0;
 };
 
-/// Reusable per-worker storage for run_block: the thread contexts, the
-/// coroutine handles, the finished bitmap and the block's shared-memory
+/// Reusable per-worker storage for run_block: the thread or warp contexts,
+/// the coroutine handles, the finished bitmap and the block's shared-memory
 /// arena. A worker keeps one of these (thread_local in Device::launch) and
 /// passes it to every block it runs, so steady-state execution allocates
 /// nothing per block — contexts are re-constructed in place and the arena
@@ -69,21 +69,15 @@ struct RunBlockOpts {
     std::vector<memcheck::Violation>* violation_sink = nullptr;
 };
 
-/// Runs all threads of block `block_idx` to completion. Throws
-/// Error(LaunchFailure) wrapping any exception escaping a kernel body and on
-/// divergent barrier use. `exec` (optional) gives the threads their
-/// memcheck execution context — kernel name, global-memory shadow, device
-/// ordinal — for attributed diagnostics.
-BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
-                      const KernelEntry& entry, uint3 block_idx,
-                      const memcheck::ExecContext* exec = nullptr,
-                      const RunBlockOpts& opts = {});
-
-/// Dual-form dispatch: runs the warp-vectorized interpreter (one coroutine
-/// per warp, lane-batched state, active-mask divergence — see warp_ctx.hpp)
-/// when the spec carries a warp form and engine_mode() is Warp; otherwise
-/// the classic per-thread engine above. Both produce bit-identical
-/// observables for charge-equal kernel forms.
+/// Runs all threads of block `block_idx` to completion. Runs the spec's
+/// warp form (one coroutine per warp, lane-batched state, active-mask
+/// divergence — see warp_ctx.hpp) when it has one and engine_mode() is
+/// Warp; otherwise its thread form, one coroutine per thread. Both go
+/// through one block loop and produce bit-identical observables for
+/// charge-equal kernel forms. Throws Error(LaunchFailure) wrapping any
+/// exception escaping a kernel body and on divergent barrier use. `exec`
+/// (optional) gives the threads their memcheck execution context — kernel
+/// name, global-memory shadow, device ordinal — for attributed diagnostics.
 BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
                       const KernelSpec& spec, uint3 block_idx,
                       const memcheck::ExecContext* exec = nullptr,

@@ -42,7 +42,7 @@
 //
 // Every injection is mirrored into cupp::trace as an instant on the
 // "faults" track plus cusim.faults.* counters, and an injection report
-// (JSON) can be written at process exit for tools/faults_check.
+// (JSON) can be written at process exit for `cupp_report faults`.
 //
 // The disabled fast path is a single relaxed atomic load per site.
 #pragma once

@@ -7,6 +7,7 @@
 // access and blocks the host clock until the device is idle.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <map>
@@ -57,7 +58,9 @@ public:
         std::source_location loc = std::source_location::current(),
         const char* label = "cusimMalloc") {
         if (bytes == 0) bytes = 1;
-        const std::uint64_t aligned = round_up(bytes, kAlignment);
+        // Clamped before rounding up, which would wrap near 2^64; a request
+        // larger than the address space still fits no free extent.
+        const std::uint64_t aligned = round_up(std::min(bytes, size_ + 1), kAlignment);
         for (auto it = free_list_.begin(); it != free_list_.end(); ++it) {
             if (it->second >= aligned) {
                 const DeviceAddr addr = it->first;
@@ -124,7 +127,10 @@ public:
         auto it = allocations_.upper_bound(addr);
         if (it == allocations_.begin()) return false;
         --it;
-        return addr >= it->first && addr + bytes <= it->first + it->second.requested;
+        // it->first <= addr; compared as lengths so that no sum can wrap.
+        const std::uint64_t offset = addr - it->first;
+        const std::uint64_t requested = it->second.requested;
+        return offset <= requested && bytes <= requested - offset;
     }
 
     /// Raw pointer into the arena. The caller must have validated the range;

@@ -20,7 +20,7 @@
 // Activation follows the CUPP_TRACE / CUPP_MEMCHECK / CUPP_FAULTS pattern:
 //
 //   CUPP_PROF=<report.json>   collect for the whole run and write the JSON
-//                             report (tools/cupp_prof renders it) at exit
+//                             report (cupp_report prof renders it) at exit
 //
 // plus session scoping via the cusimProfilerStart/Stop runtime mirrors and
 // the RAII cupp::prof_session. The disabled fast path is one relaxed

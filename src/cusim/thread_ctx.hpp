@@ -280,8 +280,23 @@ public:
     }
 
     // --- internals used by the engine and the memory views ---
-    [[nodiscard]] bool at_barrier() const { return at_barrier_; }
+    // The block loop drives a thread as a one-lane warp, through the same
+    // three hooks WarpCtx has: its lane is live until the body returns.
+    [[nodiscard]] std::uint32_t live() const { return 1; }
+    [[nodiscard]] std::uint32_t at_barrier_mask() const { return at_barrier_ ? 1 : 0; }
     void clear_barrier() { at_barrier_ = false; }
+    /// Folds the finished thread into its warp: cycles at the pace of the
+    /// slowest lane (SIMD max), traffic summed over lanes.
+    void fold_into_warp_acct() {
+        WarpAcct& w = *warp_;
+        const ThreadAcct& a = *acct_;
+        if (a.compute_cycles > w.compute_cycles) w.compute_cycles = a.compute_cycles;
+        if (a.stall_cycles > w.stall_cycles) w.stall_cycles = a.stall_cycles;
+        w.bytes_read += a.bytes_read;
+        w.bytes_written += a.bytes_written;
+        w.useful_bytes_read += a.useful_bytes_read;
+        w.useful_bytes_written += a.useful_bytes_written;
+    }
     [[nodiscard]] ThreadAcct& acct() { return *acct_; }
     [[nodiscard]] WarpAcct& warp() { return *warp_; }
     [[nodiscard]] const CostModel& cost_model() const { return *cm_; }

@@ -34,8 +34,8 @@
 // Activation follows the CUPP_TRACE / CUPP_PROF pattern:
 //
 //   CUPP_TIMELINE=<report.json>   record for the whole run and write the
-//                                 JSON report (tools/cupp_timeline renders
-//                                 and diffs it) at process exit
+//                                 JSON report (cupp_report timeline
+//                                 renders and diffs it) at process exit
 //
 // Recording happens on the host thread only — at enqueue time and inside
 // the stream drain / launch-order reduction — so the report is

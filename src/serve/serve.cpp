@@ -105,7 +105,8 @@ struct server::impl {
     std::vector<std::thread> threads;
 
     // Counters: per-server atomics (stats()) mirrored into the process-wide
-    // metrics registry as cupp.serve.* so traces and trace_check see them.
+    // metrics registry as cupp.serve.* so traces (and cupp_report trace)
+    // see them.
     struct counters {
         std::atomic<std::uint64_t> submitted{0}, admitted{0}, completed{0};
         std::atomic<std::uint64_t> rejected_queue_full{0}, rejected_tenant_queued{0};

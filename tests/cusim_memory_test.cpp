@@ -1,16 +1,29 @@
 // Global-memory allocator and transfer tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <utility>
 #include <vector>
 
+#include "cusim/constant_memory.hpp"
 #include "cusim/device.hpp"
 #include "cusim/global_memory.hpp"
 
 namespace {
 
 using namespace cusim;
+
+/// Expects `f()` to throw an Error carrying `code`.
+template <typename F>
+void expect_error(ErrorCode code, F&& f) {
+    try {
+        f();
+        ADD_FAILURE() << "no error thrown";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), code) << e.what();
+    }
+}
 
 TEST(GlobalMemory, AllocateFreeRoundTrip) {
     GlobalMemory mem(1 << 20);
@@ -91,6 +104,25 @@ TEST(GlobalMemory, Rejects33BitAddressSpace) {
     EXPECT_THROW(GlobalMemory((1ull << 32) + 1), Error);
 }
 
+TEST(GlobalMemory, AllocateRejectsSizesThatWrapWhenAligned) {
+    GlobalMemory mem(1 << 20);
+    // Rounded up to 256 bytes, both sizes wrap to 0.
+    for (const std::uint64_t bytes : {~0ull, ~0ull - 254}) {
+        expect_error(ErrorCode::MemoryAllocation, [&] { (void)mem.allocate(bytes); });
+    }
+    EXPECT_EQ(mem.allocation_count(), 0u);
+    EXPECT_EQ(mem.used(), 0u);
+}
+
+TEST(GlobalMemory, RangeValidRejectsExtentsThatWrap) {
+    GlobalMemory mem(1 << 20);
+    const DeviceAddr a = mem.allocate(64);
+    EXPECT_TRUE(mem.range_valid(a + 8, 56));
+    EXPECT_FALSE(mem.range_valid(a + 65, 0));
+    // (a + 8) + (2^64 - 8) wraps to a.
+    EXPECT_FALSE(mem.range_valid(a + 8, ~0ull - 7));
+}
+
 TEST(Device, TypedUploadDownloadRoundTrip) {
     Device dev(tiny_properties());
     std::vector<double> data(517);
@@ -139,6 +171,32 @@ TEST(Device, SliceRejectsRangesThatWrap) {
             EXPECT_EQ(e.code(), ErrorCode::InvalidDevicePointer);
         }
     }
+}
+
+TEST(Device, SizesThatWrapAreRejected) {
+    Device dev(tiny_properties());
+    const std::uint64_t count = 1ull << 61;  // count * sizeof(double) wraps to 0
+    expect_error(ErrorCode::MemoryAllocation, [&] { (void)dev.malloc_n<double>(count); });
+    expect_error(ErrorCode::MemoryAllocation,
+                 [&] { (void)dev.malloc_constant<double>(count); });
+    const auto p = dev.malloc_n<double>(4);
+    expect_error(ErrorCode::InvalidDevicePointer,
+                 [&] { (void)dev.view<double>(p.addr(), count); });
+    // A blocking copy whose end wraps past the allocation's base.
+    std::vector<char> buf(8);
+    expect_error(ErrorCode::InvalidDevicePointer,
+                 [&] { dev.copy_to_host(buf.data(), p.addr() + 8, ~0ull - 7); });
+}
+
+TEST(ConstantMemory, ChecksRejectSizesThatWrap) {
+    ConstantMemory cmem;
+    expect_error(ErrorCode::MemoryAllocation, [&] { (void)cmem.allocate(~0ull); });
+    Device dev(tiny_properties());
+    const auto p = dev.malloc_constant<char>(64);
+    std::vector<char> buf(8);
+    // (addr + 1) + (2^64 - 1) wraps to addr.
+    expect_error(ErrorCode::InvalidDevicePointer,
+                 [&] { dev.copy_to_constant(p.addr() + 1, buf.data(), ~0ull); });
 }
 
 TEST(Device, RejectsCostModelsALaunchCannotRun) {

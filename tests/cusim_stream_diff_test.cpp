@@ -385,7 +385,7 @@ struct LoggedOp {
 /// — replay charges one launch overhead for the whole DAG, which is the
 /// point of the graph path — so modelled clocks stay out of this digest
 /// (the timeline parity gate for a fixed workload lives in
-/// bench_graph_replay + cupp_timeline --diff).
+/// bench_graph_replay + cupp_report timeline --diff).
 RunResult run_replay_dag(std::uint64_t seed, unsigned threads, EngineMode engine,
                          bool captured) {
     ThreadsGuard guard(threads);

@@ -1,12 +1,14 @@
 // Warp-vectorized engine tests: dual-form kernels must be observably
 // indistinguishable from their per-thread oracle — same outputs, same
 // LaunchStats, same divergent-barrier diagnostics, same memcheck messages —
-// while running one coroutine per warp. Also covers the FrameCache LRU
-// bucket replacement and the CUPP_SIM_ENGINE override plumbing.
+// while running one coroutine per warp, on any number of pool workers.
+// Also covers the FrameCache LRU bucket replacement and the
+// CUPP_SIM_ENGINE override plumbing.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cupp/trace.hpp"
@@ -42,6 +44,41 @@ void expect_stats_eq(const LaunchStats& a, const LaunchStats& b) {
     EXPECT_DOUBLE_EQ(a.device_seconds, b.device_seconds);
 }
 
+/// One launch's observables: the output buffer and the LaunchStats.
+template <typename T>
+struct Observed {
+    std::vector<T> out;
+    LaunchStats stats;
+};
+
+/// Runs `launch` on a fresh device under the thread engine on one worker,
+/// then under both engines on 1, 2, 4 and 8 workers, and expects every run
+/// to match the first bit for bit. Memcheck stays off, so the warp engine
+/// takes its lane-batched paths rather than the per-lane facades. Returns
+/// the reference run.
+template <typename T, typename Launch>
+Observed<T> expect_engine_parity(Launch&& launch) {
+    EXPECT_FALSE(memcheck::enabled());
+    const auto run = [&](EngineMode mode, unsigned workers) {
+        EngineGuard guard(mode);
+        DeviceProperties props = tiny_properties();
+        props.sim_threads = workers;
+        Device dev(props);
+        return launch(dev);
+    };
+    const Observed<T> ref = run(EngineMode::Thread, 1);
+    for (const EngineMode mode : {EngineMode::Thread, EngineMode::Warp}) {
+        for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+            SCOPED_TRACE(std::string(mode == EngineMode::Warp ? "warp" : "thread") +
+                         " engine, " + std::to_string(workers) + " worker(s)");
+            const Observed<T> got = run(mode, workers);
+            EXPECT_EQ(got.out, ref.out);
+            expect_stats_eq(got.stats, ref.stats);
+        }
+    }
+    return ref;
+}
+
 // --- iota: the simplest dual-form kernel -----------------------------------
 
 KernelTask iota_thread(ThreadCtx& ctx, DevicePtr<std::uint32_t> out) {
@@ -66,24 +103,17 @@ KernelTask iota_warp(WarpCtx& w, DevicePtr<std::uint32_t> out) {
 }
 
 TEST(WarpEngine, IotaMatchesThreadEngineBitForBit) {
-    std::vector<std::uint32_t> host_w, host_t;
-    LaunchStats st_w, st_t;
-    for (const EngineMode mode : {EngineMode::Warp, EngineMode::Thread}) {
-        EngineGuard guard(mode);
-        Device dev(tiny_properties());
+    const auto ref = expect_engine_parity<std::uint32_t>([](Device& dev) {
         auto out = dev.malloc_n<std::uint32_t>(1000);
         LaunchConfig cfg{dim3{8}, dim3{128}};
         KernelSpec spec([&](ThreadCtx& ctx) { return iota_thread(ctx, out); },
                         [&](WarpCtx& w) { return iota_warp(w, out); });
-        auto stats = dev.launch(cfg, spec, "iota");
-        std::vector<std::uint32_t> host(1000);
-        dev.download(std::span<std::uint32_t>(host), out);
-        (mode == EngineMode::Warp ? host_w : host_t) = std::move(host);
-        (mode == EngineMode::Warp ? st_w : st_t) = stats;
-    }
-    EXPECT_EQ(host_w, host_t);
-    for (std::uint32_t i = 0; i < 1000; ++i) EXPECT_EQ(host_w[i], i * 7) << i;
-    expect_stats_eq(st_w, st_t);
+        Observed<std::uint32_t> o{std::vector<std::uint32_t>(1000),
+                                  dev.launch(cfg, spec, "iota")};
+        dev.download(std::span<std::uint32_t>(o.out), out);
+        return o;
+    });
+    for (std::uint32_t i = 0; i < 1000; ++i) EXPECT_EQ(ref.out[i], i * 7) << i;
 }
 
 // --- the dispatcher actually switches engines ------------------------------
@@ -189,12 +219,8 @@ KernelTask nest_warp(WarpCtx& w, DevicePtr<std::uint32_t> in,
 }
 
 TEST(WarpEngine, NestedDivergenceMatchesThreadEngine) {
-    std::vector<std::uint32_t> host_w, host_t;
-    LaunchStats st_w, st_t;
-    for (const EngineMode mode : {EngineMode::Warp, EngineMode::Thread}) {
-        EngineGuard guard(mode);
-        Device dev(tiny_properties());
-        const std::uint64_t n = 4 * 96;  // partial tail warp in every block
+    const auto ref = expect_engine_parity<std::uint32_t>([](Device& dev) {
+        const std::uint64_t n = 8 * 96;  // partial tail warp in every block
         auto in = dev.malloc_n<std::uint32_t>(n);
         auto out = dev.malloc_n<std::uint32_t>(n);
         std::vector<std::uint32_t> seed(n);
@@ -202,19 +228,15 @@ TEST(WarpEngine, NestedDivergenceMatchesThreadEngine) {
             seed[i] = static_cast<std::uint32_t>(i * 2654435761u + 12345u);
         }
         dev.upload(in, std::span<const std::uint32_t>(seed));
-        LaunchConfig cfg{dim3{4}, dim3{96}};
+        LaunchConfig cfg{dim3{8}, dim3{96}};
         KernelSpec spec([&](ThreadCtx& ctx) { return nest_thread(ctx, in, out); },
                         [&](WarpCtx& w) { return nest_warp(w, in, out); });
-        auto stats = dev.launch(cfg, spec, "nest");
-        std::vector<std::uint32_t> host(n);
-        dev.download(std::span<std::uint32_t>(host), out);
-        (mode == EngineMode::Warp ? host_w : host_t) = std::move(host);
-        (mode == EngineMode::Warp ? st_w : st_t) = stats;
-    }
-    EXPECT_EQ(host_w, host_t);
-    expect_stats_eq(st_w, st_t);
-    EXPECT_GT(st_w.divergent_events, 0u);
-    EXPECT_EQ(st_w.branch_evaluations, st_t.branch_evaluations);
+        Observed<std::uint32_t> o{std::vector<std::uint32_t>(n),
+                                  dev.launch(cfg, spec, "nest")};
+        dev.download(std::span<std::uint32_t>(o.out), out);
+        return o;
+    });
+    EXPECT_GT(ref.stats.divergent_events, 0u);
 }
 
 // --- shared memory + __syncthreads across warps ----------------------------
@@ -249,29 +271,22 @@ KernelTask rotate_warp(WarpCtx& w, DevicePtr<float> out) {
 }
 
 TEST(WarpEngine, SharedTileRotationCrossesWarps) {
-    std::vector<float> host_w, host_t;
-    LaunchStats st_w, st_t;
-    for (const EngineMode mode : {EngineMode::Warp, EngineMode::Thread}) {
-        EngineGuard guard(mode);
-        Device dev(tiny_properties());
-        LaunchConfig cfg{dim3{2}, dim3{64}};
+    const auto ref = expect_engine_parity<float>([](Device& dev) {
+        LaunchConfig cfg{dim3{8}, dim3{64}};
         cfg.shared_bytes = 64 * sizeof(float);
         auto out = dev.malloc_n<float>(cfg.total_threads());
         KernelSpec spec([&](ThreadCtx& ctx) { return rotate_thread(ctx, out); },
                         [&](WarpCtx& w) { return rotate_warp(w, out); });
-        auto stats = dev.launch(cfg, spec, "rotate");
-        std::vector<float> host(cfg.total_threads());
-        dev.download(std::span<float>(host), out);
-        (mode == EngineMode::Warp ? host_w : host_t) = std::move(host);
-        (mode == EngineMode::Warp ? st_w : st_t) = stats;
-    }
-    EXPECT_EQ(host_w, host_t);
-    expect_stats_eq(st_w, st_t);
-    EXPECT_EQ(st_w.syncthreads_count, 2u);  // one episode per block
+        Observed<float> o{std::vector<float>(cfg.total_threads()),
+                          dev.launch(cfg, spec, "rotate")};
+        dev.download(std::span<float>(o.out), out);
+        return o;
+    });
+    EXPECT_EQ(ref.stats.syncthreads_count, 8u);  // one episode per block
     // Lane 31 of warp 0 reads tile[32] — written by warp 1, proving the
     // barrier actually publishes across warp coroutines.
-    EXPECT_FLOAT_EQ(host_w[31], 32.0f * 1.5f);
-    EXPECT_FLOAT_EQ(host_w[63], 0.0f);  // wraps to tile[0]
+    EXPECT_FLOAT_EQ(ref.out[31], 32.0f * 1.5f);
+    EXPECT_FLOAT_EQ(ref.out[63], 0.0f);  // wraps to tile[0]
 }
 
 // --- divergent __syncthreads diagnosis -------------------------------------
