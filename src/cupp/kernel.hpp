@@ -155,7 +155,10 @@ public:
     void set_regs_per_thread(std::uint32_t regs) { regs_per_thread_ = regs; }
     /// Labels this kernel in traces, reports and the launch history (the
     /// simulator has no nvcc to read the symbol name from).
-    void set_name(std::string name) { name_ = std::move(name); }
+    void set_name(std::string name) {
+        name_ = std::move(name);
+        launch_site_ = "launch " + name_;
+    }
     [[nodiscard]] const std::string& name() const { return name_; }
     /// Per-kernel override of the transient-failure retry policy
     /// (default_retry_policy() otherwise).
@@ -274,9 +277,8 @@ private:
         // LaunchFailure rejects the grid (or the enqueue) before any state
         // changes and leaves the staged configuration + argument stack
         // untouched, so re-issuing really is the same launch.
-        const std::string launch_site = "launch " + name_;
         with_retry(retry_ ? *retry_ : default_retry_policy(), &sim,
-                   launch_site.c_str(), [&] {
+                   launch_site_.c_str(), [&] {
                        detail::check(
                            cusim::rt::cusimLaunchAsync(handle_, name_.c_str(), sid),
                            "launch");
@@ -413,6 +415,7 @@ private:
     std::uint32_t shared_bytes_ = 0;
     std::uint32_t regs_per_thread_ = 16;
     std::string name_ = "kernel";
+    std::string launch_site_ = "launch kernel";  ///< the launch's retry site label
     std::optional<retry_policy> retry_;
     cusim::LaunchStats stats_{};
 };

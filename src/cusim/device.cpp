@@ -76,7 +76,7 @@ void Device::copy_to_constant(DeviceAddr addr, const void* src, std::uint64_t by
 }
 
 LaunchStats Device::run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
-                             std::string_view name) {
+                             const std::string& name) {
     LaunchStats stats;
     stats.blocks = cfg.grid.count();
     stats.threads = cfg.total_threads();
@@ -84,14 +84,17 @@ LaunchStats Device::run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
     stats.warps = std::uint64_t{cfg.warps_per_block()} * cfg.grid.count();
 
     const std::uint64_t nblocks = cfg.grid.count();
-    std::vector<BlockCost> costs;
+    // This thread's launch scratch: the serial path runs every block on it,
+    // and both paths reduce into its cost buffer.
+    BlockScratch& scratch = BlockScratch::local();
+    std::vector<BlockCost>& costs = scratch.costs;
+    costs.clear();
     costs.reserve(static_cast<std::size_t>(nblocks));
 
     // Threaded into every ThreadCtx so device-side diagnostics (memcheck
     // violations, out-of-range accesses) can name the kernel and check
     // against this device's global-memory shadow.
-    const memcheck::ExecContext exec{std::string(name), &memory_.shadow(),
-                                     trace_ordinal_};
+    const memcheck::ExecContext exec{name.c_str(), &memory_.shadow(), trace_ordinal_};
 
     // Blocks are independent (§2.2), so the grid is dealt to host workers —
     // DeviceProperties::sim_threads if set, else CUPP_SIM_THREADS /
@@ -122,22 +125,17 @@ LaunchStats Device::run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
     if (threads <= 1) {
         // The classic serial engine: blocks run in launch order on this
         // thread, reporting memcheck violations and trace events inline, and
-        // the first failure propagates before any later block runs. One
-        // scratch arena is reused across the whole grid.
-        BlockScratch scratch;
-        RunBlockOpts opts;
-        opts.scratch = &scratch;
+        // the first failure propagates before any later block runs.
         for (std::uint64_t i = 0; i < nblocks; ++i) {
-            accumulate(
-                run_block(props_.cost, cfg, spec, unlinearize_block(i, cfg.grid),
-                          &exec, opts));
+            accumulate(run_block(scratch, props_.cost, cfg, spec,
+                                 unlinearize_block(i, cfg.grid), &exec));
         }
     } else {
-        // Parallel path. Each worker runs whole blocks, writing only to its
-        // block's index-addressed slot: results, deferred memcheck
-        // violations and captured trace events all flush in launch order
-        // afterwards, so stats, reports and the trace are bit-identical to
-        // the serial path for any thread count.
+        // Parallel path. Each worker runs whole blocks on its own scratch,
+        // writing only to its block's index-addressed slot: results,
+        // deferred memcheck violations and captured trace events all flush
+        // in launch order afterwards, so stats, reports and the trace are
+        // bit-identical to the serial path for any thread count.
         struct BlockRun {
             BlockResult result;
             std::vector<memcheck::Violation> violations;
@@ -156,19 +154,11 @@ LaunchStats Device::run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
         BlockPool::instance().run(nblocks, threads, [&](std::uint64_t i) {
             if (first_error.load(std::memory_order_acquire) < i) return;
             try {
-                // Touch the frame cache before constructing the scratch:
-                // thread_locals die in reverse construction order, and the
-                // scratch's teardown recycles coroutine frames through the
-                // cache, so the cache must be constructed first.
-                detail::FrameCache::local();
-                thread_local BlockScratch scratch;
-                RunBlockOpts opts;
-                opts.scratch = &scratch;
-                opts.violation_sink = &runs[i].violations;
                 std::optional<cupp::trace::ScopedCapture> capture;
                 if (tracing) capture.emplace(&runs[i].trace_events);
-                runs[i].result = run_block(props_.cost, cfg, spec,
-                                           unlinearize_block(i, cfg.grid), &exec, opts);
+                runs[i].result = std::move(run_block(BlockScratch::local(), props_.cost, cfg,
+                                                     spec, unlinearize_block(i, cfg.grid),
+                                                     &exec, &runs[i].violations));
             } catch (...) {
                 runs[i].error = std::current_exception();
                 std::uint64_t expected = first_error.load(std::memory_order_relaxed);

@@ -406,7 +406,7 @@ private:
     /// stats with device_seconds filled in. Does not touch the timeline,
     /// history, or trace. (device.cpp)
     LaunchStats run_grid(const LaunchConfig& cfg, const KernelSpec& spec,
-                         std::string_view name);
+                         const std::string& name);
 
     /// Default-stream semantics: every default-stream operation joins with
     /// all explicit streams — pending ops execute and the per-stream

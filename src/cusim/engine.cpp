@@ -14,6 +14,7 @@
 
 #include "cupp/trace.hpp"
 #include "cusim/error.hpp"
+#include "cusim/multiprocessor.hpp"
 #include "cusim/thread_ctx.hpp"
 #include "cusim/warp_ctx.hpp"
 
@@ -44,12 +45,25 @@ struct BlockScratch::State {
         std::vector<KernelTask> tasks;
         std::vector<bool> finished;
     };
-    std::tuple<Units<ThreadCtx>, Units<WarpCtx>> units;
     BlockState block;
+    BlockResult result;
+    /// Declared last, so torn down first: no coroutine frame outlives the
+    /// block state and warp accounts its context points into.
+    std::tuple<Units<ThreadCtx>, Units<WarpCtx>> units;
 };
 
 BlockScratch::BlockScratch() : state(std::make_unique<State>()) {}
 BlockScratch::~BlockScratch() = default;
+
+BlockScratch& BlockScratch::local() {
+    // Touch the frame cache before constructing the scratch: thread_locals
+    // die in reverse construction order, and the scratch's teardown
+    // recycles coroutine frames through the cache, so the cache must be
+    // constructed first.
+    detail::FrameCache::local();
+    thread_local BlockScratch scratch;
+    return scratch;
+}
 
 namespace {
 
@@ -118,31 +132,28 @@ Ctx& emplace_ctx(std::vector<std::unique_ptr<Ctx>>& ctxs, unsigned u, Args&&... 
 /// arithmetic over the units' live and at-barrier masks, so the
 /// divergent-barrier diagnostic counts threads under either engine.
 template <typename Ctx>
-BlockResult run_units(const CostModel& cm, const LaunchConfig& cfg,
-                      const std::function<KernelTask(Ctx&)>& entry, uint3 block_idx,
-                      const memcheck::ExecContext* exec, const RunBlockOpts& opts) {
+BlockResult& run_units(BlockScratch::State& s, const CostModel& cm, const LaunchConfig& cfg,
+                       const std::function<KernelTask(Ctx&)>& entry, uint3 block_idx,
+                       const memcheck::ExecContext* exec,
+                       std::vector<memcheck::Violation>* violation_sink) {
     constexpr bool kWarps = std::is_same_v<Ctx, WarpCtx>;
     const unsigned nthreads = static_cast<unsigned>(cfg.block.count());
     const unsigned nwarps = cfg.warps_per_block();
     const unsigned nunits = kWarps ? nwarps : nthreads;
 
-    BlockResult result;
+    // Everything below reuses the scratch's storage: contexts are
+    // reconstructed in place, and the result, task and shared-arena
+    // buffers keep their capacity from the previous block.
+    BlockResult& result = s.result;
+    result.warps.clear();
     result.warps.resize(nwarps);
-
-    // Per-call storage comes from the caller's scratch when provided, so a
-    // worker re-running blocks reconstructs contexts in place and keeps the
-    // shared arena's capacity instead of reallocating everything per block.
-    std::unique_ptr<BlockScratch> local;
-    if (opts.scratch == nullptr) local = std::make_unique<BlockScratch>();
-    BlockScratch::State& s =
-        *(opts.scratch != nullptr ? opts.scratch : local.get())->state;
     auto& [ctxs, tasks, finished] = std::get<BlockScratch::State::Units<Ctx>>(s.units);
 
     BlockState& block_state = s.block;
     block_state.shared_arena.assign(cfg.shared_bytes, std::byte{0});
     block_state.sync_episodes = 0;
     block_state.shared_shadow.reset();
-    block_state.violation_sink = opts.violation_sink;
+    block_state.violation_sink = violation_sink;
 
     // Tear down the previous block's coroutines before their contexts are
     // reconstructed underneath them (frames recycle through the
@@ -214,13 +225,15 @@ BlockResult run_units(const CostModel& cm, const LaunchConfig& cfg,
 
 }  // namespace
 
-BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
-                      const KernelSpec& spec, uint3 block_idx,
-                      const memcheck::ExecContext* exec, const RunBlockOpts& opts) {
+BlockResult& run_block(BlockScratch& scratch, const CostModel& cm, const LaunchConfig& cfg,
+                       const KernelSpec& spec, uint3 block_idx,
+                       const memcheck::ExecContext* exec,
+                       std::vector<memcheck::Violation>* violation_sink) {
     if (spec.warp && engine_mode() == EngineMode::Warp) {
-        return run_units(cm, cfg, spec.warp, block_idx, exec, opts);
+        return run_units(*scratch.state, cm, cfg, spec.warp, block_idx, exec,
+                         violation_sink);
     }
-    return run_units(cm, cfg, spec.thread, block_idx, exec, opts);
+    return run_units(*scratch.state, cm, cfg, spec.thread, block_idx, exec, violation_sink);
 }
 
 }  // namespace cusim

@@ -41,46 +41,50 @@ struct BlockResult {
     std::uint64_t sync_episodes = 0;
 };
 
-/// Reusable per-worker storage for run_block: the thread or warp contexts,
-/// the coroutine handles, the finished bitmap and the block's shared-memory
-/// arena. A worker keeps one of these (thread_local in Device::launch) and
-/// passes it to every block it runs, so steady-state execution allocates
-/// nothing per block — contexts are re-constructed in place and the arena
-/// keeps its capacity. Opaque; run_block owns the layout.
+struct BlockCost;  // multiprocessor.hpp
+
+/// Reusable per-host-thread storage for launches: run_block's thread or
+/// warp contexts, coroutine handles, finished bitmap, shared-memory arena
+/// and block result, plus run_grid's per-block costs. Every thread that runs
+/// blocks uses its own (local()), so steady-state launches allocate nothing
+/// per block or per launch: contexts are re-constructed in place and every
+/// buffer keeps its capacity. The engine's part is opaque; run_block owns
+/// its layout.
 struct BlockScratch {
     BlockScratch();
     ~BlockScratch();
     BlockScratch(const BlockScratch&) = delete;
     BlockScratch& operator=(const BlockScratch&) = delete;
 
+    /// The calling host thread's scratch.
+    static BlockScratch& local();
+
+    /// run_grid's per-block costs, in launch order.
+    std::vector<BlockCost> costs;
+
     struct State;
     std::unique_ptr<State> state;
 };
 
-/// Optional knobs for run_block (all default to the classic behaviour).
-struct RunBlockOpts {
-    /// Reuse this worker-owned storage instead of allocating per block.
-    BlockScratch* scratch = nullptr;
-    /// When non-null, memcheck violations are buffered here in program
-    /// order instead of being reported through memcheck::record()
-    /// immediately (strict mode still throws at the faulting access). The
-    /// sink is caller-owned so buffered violations survive a mid-block
-    /// exception — the parallel launch path flushes them in launch order.
-    std::vector<memcheck::Violation>* violation_sink = nullptr;
-};
-
-/// Runs all threads of block `block_idx` to completion. Runs the spec's
-/// warp form (one coroutine per warp, lane-batched state, active-mask
-/// divergence — see warp_ctx.hpp) when it has one and engine_mode() is
-/// Warp; otherwise its thread form, one coroutine per thread. Both go
-/// through one block loop and produce bit-identical observables for
-/// charge-equal kernel forms. Throws Error(LaunchFailure) wrapping any
-/// exception escaping a kernel body and on divergent barrier use. `exec`
-/// (optional) gives the threads their memcheck execution context — kernel
-/// name, global-memory shadow, device ordinal — for attributed diagnostics.
-BlockResult run_block(const CostModel& cm, const LaunchConfig& cfg,
-                      const KernelSpec& spec, uint3 block_idx,
-                      const memcheck::ExecContext* exec = nullptr,
-                      const RunBlockOpts& opts = {});
+/// Runs all threads of block `block_idx` to completion on `scratch`. Runs
+/// the spec's warp form (one coroutine per warp, lane-batched state,
+/// active-mask divergence — see warp_ctx.hpp) when it has one and
+/// engine_mode() is Warp; otherwise its thread form, one coroutine per
+/// thread. Both go through one block loop and produce bit-identical
+/// observables for charge-equal kernel forms. Throws Error(LaunchFailure)
+/// wrapping any exception escaping a kernel body and on divergent barrier
+/// use. `exec` (optional) gives the threads their memcheck execution
+/// context — kernel name, global-memory shadow, device ordinal — for
+/// attributed diagnostics. When `violation_sink` is non-null, memcheck
+/// violations are buffered there in program order instead of being
+/// reported through memcheck::record() immediately (strict mode still
+/// throws at the faulting access); the sink is caller-owned so buffered
+/// violations survive a mid-block exception, and the parallel launch path
+/// flushes them in launch order. The result lives in `scratch` until its
+/// next run_block; a caller may move it out.
+BlockResult& run_block(BlockScratch& scratch, const CostModel& cm, const LaunchConfig& cfg,
+                       const KernelSpec& spec, uint3 block_idx,
+                       const memcheck::ExecContext* exec = nullptr,
+                       std::vector<memcheck::Violation>* violation_sink = nullptr);
 
 }  // namespace cusim

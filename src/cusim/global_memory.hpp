@@ -13,13 +13,26 @@
 #include <map>
 #include <memory>
 #include <source_location>
+#include <string>
 #include <vector>
+
+#include <sys/mman.h>
 
 #include "cusim/error.hpp"
 #include "cusim/memcheck.hpp"
 #include "cusim/types.hpp"
 
 namespace cusim {
+
+namespace detail {
+
+/// Releases an arena mapping of `bytes` bytes.
+struct Unmap {
+    std::uint64_t bytes = 0;
+    void operator()(std::byte* p) const noexcept { ::munmap(p, bytes); }
+};
+
+}  // namespace detail
 
 /// Allocator + backing store for one device's global memory.
 ///
@@ -38,7 +51,19 @@ public:
             throw Error(ErrorCode::InvalidValue,
                         "G80 global memory is a 32-bit address space");
         }
-        arena_.reset(new std::byte[size]());
+        // An anonymous private mapping reads as zeros, and the OS backs each
+        // page only once it is touched. A zero-byte space maps nothing (mmap
+        // rejects length 0); allocate() then finds no free extent in it.
+        if (size > 0) {
+            void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+            if (p == MAP_FAILED) {
+                throw Error(ErrorCode::MemoryAllocation,
+                            "cannot reserve " + std::to_string(size) +
+                                " bytes of global memory");
+            }
+            arena_ = Arena(static_cast<std::byte*>(p), detail::Unmap{size});
+        }
         free_list_[0] = size;
     }
 
@@ -213,9 +238,11 @@ private:
         std::uint64_t aligned;
     };
 
+    using Arena = std::unique_ptr<std::byte[], detail::Unmap>;
+
     std::uint64_t size_;
     std::uint64_t used_ = 0;
-    std::unique_ptr<std::byte[]> arena_;
+    Arena arena_;
     std::map<DeviceAddr, std::uint64_t> free_list_;   // addr -> bytes
     std::map<DeviceAddr, Allocation> allocations_;
     mutable memcheck::Shadow shadow_;

@@ -282,9 +282,10 @@ private:
 // --- execution context -----------------------------------------------------
 
 /// What the engine threads into every ThreadCtx so device-side diagnostics
-/// can name the kernel and reach the owning device's shadow state.
+/// can name the kernel and reach the owning device's shadow state. The name
+/// is borrowed from the launch, which outlives its blocks.
 struct ExecContext {
-    std::string kernel_name = "kernel";
+    const char* kernel_name = "kernel";
     Shadow* shadow = nullptr;
     int device = -1;
 };

@@ -53,10 +53,12 @@ double model_grid_seconds(const CostModel& cm, const LaunchConfig& cfg,
     const double bytes_per_cycle = cm.bytes_per_cycle_per_mp();
 
     // Blocks are dealt to MPs round-robin in launch order; each MP runs its
-    // queue in waves of `resident` concurrent blocks.
-    std::vector<double> mp_cycles(nmp, 0.0);
-    for (std::size_t base = 0; base < blocks.size(); base += std::size_t{resident} * nmp) {
-        for (unsigned mp = 0; mp < nmp; ++mp) {
+    // queue in waves of `resident` concurrent blocks. The grid takes as long
+    // as the busiest MP.
+    double worst = 0.0;
+    for (unsigned mp = 0; mp < nmp; ++mp) {
+        double mp_cycles = 0.0;
+        for (std::size_t base = 0; base < blocks.size(); base += std::size_t{resident} * nmp) {
             std::uint64_t compute = 0;
             std::uint64_t max_warp_busy = 0;
             std::uint64_t bytes = 0;
@@ -85,10 +87,10 @@ double model_grid_seconds(const CostModel& cm, const LaunchConfig& cfg,
             double wave = static_cast<double>(compute);
             wave = std::max(wave, static_cast<double>(max_warp_busy));
             wave = std::max(wave, static_cast<double>(bytes) / bytes_per_cycle);
-            mp_cycles[mp] += wave;
+            mp_cycles += wave;
         }
+        worst = std::max(worst, mp_cycles);
     }
-    const double worst = *std::max_element(mp_cycles.begin(), mp_cycles.end());
     return worst / cm.core_clock_hz;
 }
 

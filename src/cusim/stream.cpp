@@ -178,10 +178,11 @@ void Device::launch_async(const LaunchConfig& cfg, KernelSpec spec,
     // Preflight and validation happen before the grid runs or is queued,
     // so an injected failure (or a poisoned device) rejects the launch
     // atomically and a retry is clean.
-    if (queued) {
-        fault_preflight(faults::Site::Launch, "async " + std::string(label));
-    } else {
+    if (!queued) {
         fault_preflight(faults::Site::Launch, name);
+    } else if (faults::armed()) {
+        // The queued label is built only when a fault plan can match it.
+        fault_preflight(faults::Site::Launch, "async " + std::string(label));
     }
     cfg.validate();
     // Occupancy limits are checked before running anything.

@@ -187,7 +187,7 @@ public:
     /// The kernel this thread belongs to ("?" when the engine was driven
     /// without an execution context, e.g. unit tests).
     [[nodiscard]] const char* kernel_name() const {
-        return exec_ != nullptr ? exec_->kernel_name.c_str() : "?";
+        return exec_ != nullptr ? exec_->kernel_name : "?";
     }
 
     /// "thread (x,y,z) block (x,y,z) of kernel 'name'" — appended to every

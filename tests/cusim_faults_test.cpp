@@ -757,7 +757,7 @@ TEST_F(FaultsTest, DefaultRetryPolicyConcurrentReadersAndWritersRaceFree) {
     // reference to an unguarded global: concurrent default_retry_policy()
     // readers raced every set. Now both sides lock, and readers get a
     // consistent value copy — the correlated fields below would tear
-    // otherwise. Runs in the -DCUPP_TSAN=ON set (label: tsan).
+    // otherwise. A -DCUPP_TSAN=ON build race-checks it.
     const cupp::retry_policy saved = cupp::default_retry_policy();
     {
         // Seed a policy that satisfies the writers' invariant before any

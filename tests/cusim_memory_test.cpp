@@ -1,10 +1,14 @@
 // Global-memory allocator and transfer tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <numeric>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cusim/constant_memory.hpp"
 #include "cusim/device.hpp"
@@ -102,6 +106,42 @@ TEST(GlobalMemory, FreeAllReleasesEverything) {
 
 TEST(GlobalMemory, Rejects33BitAddressSpace) {
     EXPECT_THROW(GlobalMemory((1ull << 32) + 1), Error);
+}
+
+/// This process's resident set in bytes (the second field of
+/// /proc/self/statm, in pages).
+std::uint64_t resident_bytes() {
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t pages = 0;
+    std::uint64_t resident = 0;
+    statm >> pages >> resident;
+    EXPECT_TRUE(statm) << "cannot read /proc/self/statm";
+    return resident * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(GlobalMemory, ArenaCommitsOnlyTouchedPages) {
+    // A default device has a 640 MB address space; creating one must not
+    // make it resident.
+    const std::uint64_t before = resident_bytes();
+    Device dev;
+    ASSERT_EQ(dev.memory().size(), 640ull << 20);
+    const std::uint64_t after = resident_bytes();
+    EXPECT_LT(after > before ? after - before : 0, 32ull << 20);
+}
+
+TEST(GlobalMemory, FreshAllocationReadsZeros) {
+    GlobalMemory mem(64ull << 20);
+    const DeviceAddr a = mem.allocate(1 << 20);
+    std::vector<unsigned char> host(1 << 20, 0xff);
+    mem.read(a, host.data(), host.size());
+    EXPECT_EQ(std::count(host.begin(), host.end(), 0), std::ssize(host));
+}
+
+TEST(GlobalMemory, ZeroByteSpaceConstructsButCannotAllocate) {
+    GlobalMemory mem(0);
+    EXPECT_EQ(mem.size(), 0u);
+    expect_error(ErrorCode::MemoryAllocation, [&] { (void)mem.allocate(1); });
+    EXPECT_EQ(mem.allocation_count(), 0u);
 }
 
 TEST(GlobalMemory, AllocateRejectsSizesThatWrapWhenAligned) {

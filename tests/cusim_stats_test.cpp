@@ -7,16 +7,19 @@ namespace {
 
 using namespace cusim;
 
+/// Each thread writes its own `per_thread` floats, so no two threads (and
+/// no two blocks, which the parallel engine runs on different host
+/// threads) write the same element. `out` holds threads * per_thread.
 KernelTask write_n(ThreadCtx& ctx, DevicePtr<float> out, int per_thread) {
     for (int i = 0; i < per_thread; ++i) {
-        out.write(ctx, (ctx.global_id() + i) % out.size(), 1.0f);
+        out.write(ctx, ctx.global_id() * per_thread + i, 1.0f);
     }
     co_return;
 }
 
 TEST(LaunchStats, CountsMatchGeometry) {
     Device dev(tiny_properties());
-    auto out = dev.malloc_n<float>(1024);
+    auto out = dev.malloc_n<float>(600 * 3);
     LaunchConfig cfg{dim3{6}, dim3{100}};  // 4 warps per block (rounded up)
     const auto stats =
         dev.launch(cfg, [&](ThreadCtx& ctx) { return write_n(ctx, out, 3); });
@@ -28,9 +31,9 @@ TEST(LaunchStats, CountsMatchGeometry) {
 
 TEST(LaunchStats, WriteTrafficIsExact) {
     Device dev(tiny_properties());
-    auto out = dev.malloc_n<float>(4096);
-    LaunchConfig cfg{dim3{4}, dim3{64}};
     constexpr int kPerThread = 5;
+    auto out = dev.malloc_n<float>(4 * 64 * kPerThread);
+    LaunchConfig cfg{dim3{4}, dim3{64}};
     const auto stats =
         dev.launch(cfg, [&](ThreadCtx& ctx) { return write_n(ctx, out, kPerThread); });
     const auto charged = dev.properties().cost.charged_bytes(sizeof(float));
